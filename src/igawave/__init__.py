@@ -20,11 +20,10 @@ from .assembly_1d import (
     kappa_variant,
     penalized_forms,
 )
-from .eigen import PowerResult, SpectrumResult, full_spectrum, max_eigenvalue
+from .eigen import NumericalFailure, PowerResult, SpectrumResult, full_spectrum, max_eigenvalue
 from .experiments import (
     BlowupDetected,
     Discretization1D,
-    NumericalFailure,
     build_1d,
     convergence_space,
     convergence_time,
@@ -68,12 +67,6 @@ from .spline_basis import (
     greville_points,
     open_uniform_knots,
 )
-from .tensor_ops import (
-    KroneckerOperator,
-    build_tensor_operators,
-    kron_mass_factor,
-    kron_mass_solve,
-    kron_matvec,
-)
+from .tensor_ops import KroneckerOperator, build_tensor_operators, kron_mass_factor
 
 __version__ = "0.1.0"

@@ -218,10 +218,13 @@ class PenaltySet:
         return range(1, len(self.matrices) + 1)
 
 
-def _eta_tuple(eta, nlevels):
-    if np.isscalar(eta):
-        return (float(eta),) * nlevels
-    eta = tuple(float(v) for v in eta)
+def _eta_tuple(name, eta, nlevels):
+    scalar = np.isscalar(eta)
+    eta = (float(eta),) if scalar else tuple(float(v) for v in eta)
+    if not all(np.isfinite(v) and v >= 0 for v in eta):
+        raise ValueError(f"penalty weight {name} must be finite and non-negative, got {eta}")
+    if scalar:
+        return eta * nlevels
     if len(eta) != nlevels:
         raise ValueError(f"expected {nlevels} penalty weights, got {len(eta)}")
     return eta
@@ -236,8 +239,8 @@ def build_penalties(kv, variant="endpoint", rule=None, eta_a=1.0, eta_b=1.0):
     return PenaltySet(
         variant=variant,
         matrices=mats,
-        eta_a=_eta_tuple(eta_a, nlevels),
-        eta_b=_eta_tuple(eta_b, nlevels),
+        eta_a=_eta_tuple("eta_a", eta_a, nlevels),
+        eta_b=_eta_tuple("eta_b", eta_b, nlevels),
     )
 
 

@@ -19,26 +19,6 @@ from . import experiments as ex
 
 VARIANT_MAP = {"boundary-point": "endpoint", "integral": "integral"}
 
-_CONVERTERS = {
-    "dim": int,
-    "degrees": lambda s: [int(v) for v in s.split(",") if v.strip()],
-    "elements": lambda s: [int(v) for v in s.split(",") if v.strip()],
-    "kappa": str,
-    "rho": float,
-    "penalty": str,
-    "variant": str,
-    "eta-a": float,
-    "eta-b": float,
-    "final-time": float,
-    "steps": lambda s: [int(v) for v in s.split(",") if v.strip()],
-    "mode": str,
-    "init": str,
-    "stride": int,
-    "workers": int,
-    "out": str,
-    "gnuplot": str,
-}
-
 
 def _csv_ints(text):
     try:
@@ -126,15 +106,26 @@ def _apply_config(parser, sub, command, path):
         parser.error(f"config file not found: {path}")
     if not cfg.has_section(command):
         return
+    # Config keys are the subcommand's long options, parsed by the same action.
+    actions = {
+        opt[2:]: action
+        for action in sub._actions
+        if action.dest not in ("help", "config")
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
     defaults = {}
     for key, raw in cfg.items(command):
-        if key not in _CONVERTERS:
+        action = actions.get(key)
+        if action is None:
             parser.error(f"unknown config key {key!r} in section [{command}]")
         try:
-            value = _CONVERTERS[key](raw)
+            value = (action.type or str)(raw)
         except (ValueError, argparse.ArgumentTypeError):
             parser.error(f"bad config value for {key!r}: {raw!r}")
-        defaults[key.replace("-", "_")] = value
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"bad config value for {key!r}: {raw!r} not in {action.choices}")
+        defaults[action.dest] = value
     sub.set_defaults(**defaults)
 
 
@@ -205,6 +196,8 @@ def _run_convergence(parser, args):
             n_steps=n_steps,
             penalized=penalized,
             variant=VARIANT_MAP[args.variant],
+            eta_a=args.eta_a,
+            eta_b=args.eta_b,
             init=args.init,
             workers=args.workers,
         )
@@ -228,6 +221,8 @@ def _run_convergence(parser, args):
             T=args.final_time,
             penalized=penalized,
             variant=VARIANT_MAP[args.variant],
+            eta_a=args.eta_a,
+            eta_b=args.eta_b,
             init=args.init,
             workers=args.workers,
         )
@@ -247,6 +242,8 @@ def _run_stability(parser, args):
         N=N,
         kappa=args.kappa,
         variant=VARIANT_MAP[args.variant],
+        eta_a=args.eta_a,
+        eta_b=args.eta_b,
         workers=args.workers,
     )
     header = ["rho", "tau_c", "tau_c_tilde"]
@@ -273,6 +270,8 @@ def _run_solve(parser, args):
         n_steps=n_steps,
         penalized=penalty == "on",
         variant=VARIANT_MAP[args.variant],
+        eta_a=args.eta_a,
+        eta_b=args.eta_b,
         init=args.init,
         stride=args.stride,
     )

@@ -1,14 +1,15 @@
 """Generalized symmetric eigensolvers for the pair (K, M).
 
 Two independent routes: a dense LAPACK solve of the whole spectrum for
-small systems, and matrix-free simultaneous (block power) iteration for the
-largest eigenvalue.  The two must agree; the test suite leans on that.
+small systems, and a matrix-free route for the largest eigenvalue.  The two
+must agree; the test suite leans on that.
 
-The block iteration exists because penalized spectra end in a near-degenerate
-pair (one pinned mode per boundary).  Single-vector power iteration resolves
-such a pair only at a rate set by the tiny intra-pair gap, while a two-column
-subspace converges at the gap to the third eigenvalue and reads the top value
-off a 2x2 Rayleigh-Ritz problem.
+The matrix-free route is scipy's implicitly restarted Lanczos (ARPACK) on
+LinearOperators built from the caller's callables.  Penalized spectra end
+in a near-degenerate pair (one pinned mode per boundary), which stalls
+power iteration but not a Krylov method.  A few sweeps u <- M^-1 K u then
+bring the residual of the returned vector under its target; a run that
+cannot get there raises NumericalFailure rather than returning a value.
 """
 
 from dataclasses import dataclass, field
@@ -16,9 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh
 
-__all__ = ["SpectrumResult", "PowerResult", "full_spectrum", "max_eigenvalue"]
+__all__ = [
+    "NumericalFailure",
+    "SpectrumResult",
+    "PowerResult",
+    "full_spectrum",
+    "max_eigenvalue",
+]
 
 DENSE_LIMIT = 2000
+
+
+class NumericalFailure(RuntimeError):
+    """A solver or eigensolver failed to converge."""
 
 
 def _dense(a):
@@ -76,72 +87,72 @@ def max_eigenvalue(
     *,
     apply_M,
     max_iter=50_000,
-    block=2,
     seed=42,
     residual_target=1e-6,
 ):
-    """Largest generalized eigenvalue by simultaneous iteration.
+    """Largest generalized eigenvalue by Lanczos plus residual sweeps.
 
     Parameters
     ----------
     apply_K, apply_M : callables mapping a vector to K v, M v.
     solve_M : callable mapping b to the solution of M u = b.
     n : system dimension.
-    tol : relative change of the top Rayleigh-Ritz value between sweeps at
-        which iteration stops (the generalized Rayleigh quotient
-        u^T K u / u^T M u of the top Ritz vector).
-    max_iter : sweep budget; on exhaustion the last estimate is returned
-        with converged=False.
-    block : subspace width; 2 suffices for the pinned boundary pairs.
+    tol : relative accuracy asked of the Lanczos Ritz value (ARPACK's tol).
+    max_iter : budget for the ARPACK restarts and, separately, for the
+        residual sweeps.
     seed : start-vector seed, fixed so repeated runs are identical.
-    residual_target : bound the relative residual must also meet before the
-        run counts as converged.  The Rayleigh quotient is quadratically
-        accurate in the eigenvector error, so it stagnates at tol while the
-        residual, which is linear in that error, still sits near
-        lambda * sqrt(tol); further sweeps keep sharpening the vector at no
-        cost to the value.
+    residual_target : bound the relative residual of the returned pair must
+        meet.  The Ritz value is quadratically accurate in the eigenvector
+        error, so on an ill-conditioned mass the Lanczos vector can miss
+        this bound while its value is already right; sweeps
+        u <- M^-1 K u then sharpen the vector at no cost to the value.
 
     Returns
     -------
     PowerResult
-        Estimate, sweep count, convergence flag, and the relative residual
-        ||K u - lambda M u|| / ||M u|| of the returned pair.
+        The Rayleigh quotient of the returned vector, the number of K
+        applications, converged=True, and the relative residual
+        ||K u - lambda M u|| / ||M u|| of the pair.
+
+    Raises
+    ------
+    NumericalFailure
+        When ARPACK does not converge within max_iter restarts, or the
+        residual is still above residual_target after max_iter sweeps.
     """
+    if n < 2:
+        raise ValueError(f"Lanczos needs at least 2 unknowns, got {n}; use full_spectrum")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if residual_target <= 0:
         raise ValueError("residual target must be positive")
-    block = max(1, min(block, n))
-    rng = np.random.default_rng(seed)
-    U = rng.standard_normal((n, block))
-    U, _ = np.linalg.qr(U)
+    # Imported here: at module level it slows the CLI's start-up, which never calls this.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    def columns(fn, A):
-        return np.column_stack([fn(A[:, j]) for j in range(A.shape[1])])
+    k_applies = 0
 
-    def top_pair_residual(top):
-        u = U @ small_vecs[:, -1]
-        ku, mu = apply_K(u), apply_M(u)
-        return float(np.linalg.norm(ku - top * mu) / np.linalg.norm(mu))
+    def counted_K(v):
+        nonlocal k_applies
+        k_applies += 1
+        return apply_K(v)
 
-    top_old = np.inf
-    converged = False
-    iterations = max_iter
-    res = None
-    for it in range(1, max_iter + 1):
-        W = columns(solve_M, columns(apply_K, U))
-        U, _ = np.linalg.qr(W)
-        KU = columns(apply_K, U)
-        MU = columns(apply_M, U)
-        small_vals, small_vecs = eigh(U.T @ KU, U.T @ MU)
-        top = small_vals[-1]
-        if abs(top - top_old) <= tol * abs(top):
-            res = top_pair_residual(top)
-            if res <= residual_target:
-                converged = True
-                iterations = it
-                break
-        top_old = top
-    if not converged:
-        res = top_pair_residual(top)
-    return PowerResult(value=float(top), iterations=iterations, converged=converged, residual=res)
+    K, M, Minv = (
+        LinearOperator((n, n), matvec=f, dtype=float) for f in (counted_K, apply_M, solve_M)
+    )
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        _, vecs = eigsh(K, k=1, M=M, Minv=Minv, which="LA", v0=v0, tol=tol, maxiter=max_iter)
+    except ArpackNoConvergence as err:
+        raise NumericalFailure(f"Lanczos did not converge in {max_iter} restarts") from err
+    u = vecs[:, 0]
+    for _ in range(max_iter + 1):  # the Lanczos vector, then one per sweep
+        ku, mu = counted_K(u), apply_M(u)
+        value = float(u @ ku / (u @ mu))
+        residual = float(np.linalg.norm(ku - value * mu) / np.linalg.norm(mu))
+        if residual <= residual_target:
+            return PowerResult(value=value, iterations=k_applies, converged=True, residual=residual)
+        u = solve_M(ku)
+        u /= np.linalg.norm(u)
+    raise NumericalFailure(
+        f"residual {residual:.2e} still above {residual_target:.2e} after {max_iter} sweeps"
+    )

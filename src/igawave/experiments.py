@@ -19,7 +19,7 @@ from .assembly_1d import (
     kappa_variant,
     penalized_forms,
 )
-from .eigen import full_spectrum
+from .eigen import NumericalFailure, full_spectrum
 from .integrator import (
     critical_omega,
     initial_state,
@@ -36,7 +36,7 @@ from .mms_errors import (
     l2_error_2d,
     observed_rates,
 )
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, rule_for_degree
 from .spline_basis import open_uniform_knots
 from .tensor_ops import build_tensor_operators, kron_mass_factor
 
@@ -54,10 +54,6 @@ __all__ = [
     "write_csv",
     "write_gnuplot_script",
 ]
-
-
-class NumericalFailure(RuntimeError):
-    """A solver or eigensolver failed to converge."""
 
 
 class BlowupDetected(RuntimeError):
@@ -81,7 +77,7 @@ def build_1d(p, N, kappa="one", variant="endpoint", eta_a=1.0, eta_b=1.0):
     """Assemble the 1D interior operators for one (degree, elements) cell."""
     coeff = kappa_variant(kappa) if isinstance(kappa, str) else kappa
     kv = open_uniform_knots(p, N)
-    rule = gauss_legendre(p + 1 if coeff.smooth_polynomial else p + 3)
+    rule = rule_for_degree(p, coeff.smooth_polynomial)
     M = assemble_mass(kv, rule)
     K = assemble_stiffness(kv, rule, coeff)
     pen = build_penalties(kv, variant=variant, rule=rule, eta_a=eta_a, eta_b=eta_b)
@@ -144,9 +140,9 @@ def spectrum_table(
     return _pool_map(one, cells, workers)
 
 
-def _mms_run_1d(p, N, kappa, rho, T, n_steps, penalized, variant, init):
+def _mms_run_1d(p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init):
     case = case_1d(kappa)
-    d = build_1d(p, N, kappa, variant)
+    d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     kv = d.kv
     err_rule = gauss_legendre(p + 3)
     Msys, Ksys = (d.Mt, d.Kt) if penalized else (d.M, d.K)
@@ -172,9 +168,9 @@ def _mms_run_1d(p, N, kappa, rho, T, n_steps, penalized, variant, init):
     return l2, h1
 
 
-def _mms_run_2d(p, N, rho, T, n_steps, penalized, variant, init):
+def _mms_run_2d(p, N, rho, T, n_steps, penalized, variant, eta_a, eta_b, init):
     case = case_2d()
-    d = build_1d(p, N, "one", variant)
+    d = build_1d(p, N, "one", variant, eta_a, eta_b)
     kv = d.kv
     err_rule = gauss_legendre(p + 3)
     pair = (d.Mt, d.Kt) if penalized else (d.M, d.K)
@@ -219,6 +215,8 @@ def convergence_space(
     n_steps=10_000,
     penalized=True,
     variant="endpoint",
+    eta_a=1.0,
+    eta_b=1.0,
     init="project",
     workers=4,
 ):
@@ -232,9 +230,11 @@ def convergence_space(
     def one(cell):
         p, N = cell
         if dim == 1:
-            l2, h1 = _mms_run_1d(p, N, kappa, rho, T, n_steps, penalized, variant, init)
+            l2, h1 = _mms_run_1d(
+                p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init
+            )
         else:
-            l2, h1 = _mms_run_2d(p, N, rho, T, n_steps, penalized, variant, init)
+            l2, h1 = _mms_run_2d(p, N, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
         return {"p": p, "N": N, "h": 1.0 / N, "l2": l2, "h1": h1}
 
     rows = _pool_map(one, cells, workers)
@@ -259,6 +259,8 @@ def convergence_time(
     T=1.0,
     penalized=True,
     variant="endpoint",
+    eta_a=1.0,
+    eta_b=1.0,
     init="project",
     workers=4,
 ):
@@ -266,7 +268,7 @@ def convergence_time(
     steps_list = sorted(int(s) for s in steps_list)
 
     def one(n_steps):
-        l2, _ = _mms_run_1d(p, N, kappa, rho, T, n_steps, penalized, variant, init)
+        l2, _ = _mms_run_1d(p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
         return {"p": p, "N": N, "steps": n_steps, "tau": T / n_steps, "l2": l2}
 
     rows = _pool_map(one, steps_list, workers)
@@ -284,13 +286,15 @@ def stability_region(
     N=80,
     kappa="one",
     variant="endpoint",
+    eta_a=1.0,
+    eta_b=1.0,
     rho_values=None,
     workers=4,
 ):
     """Critical steps of both discretizations over a rho grid."""
     if rho_values is None:
         rho_values = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)
-    d = build_1d(p, N, kappa, variant)
+    d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     lam = full_spectrum(d.K, d.M).max
     lam_t = full_spectrum(d.Kt, d.Mt).max
 
@@ -315,6 +319,8 @@ def solve_mms(
     n_steps=1000,
     penalized=True,
     variant="endpoint",
+    eta_a=1.0,
+    eta_b=1.0,
     init="project",
     stride=None,
 ):
@@ -330,7 +336,7 @@ def solve_mms(
     if stride is None:
         stride = max(1, n_steps // 200)
     err_rule = gauss_legendre(p + 3)
-    d = build_1d(p, N, kappa, variant)
+    d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     kv = d.kv
     if dim == 1:
         case = case_1d(kappa)

@@ -12,13 +12,7 @@ C-order flattening everywhere: coefficient (i, j[, k]) lives at flat index
 
 import numpy as np
 
-__all__ = [
-    "KroneckerOperator",
-    "build_tensor_operators",
-    "kron_matvec",
-    "kron_mass_factor",
-    "kron_mass_solve",
-]
+__all__ = ["KroneckerOperator", "build_tensor_operators", "kron_mass_factor"]
 
 
 class KroneckerOperator:
@@ -36,7 +30,6 @@ class KroneckerOperator:
         self.dims = dims
         self.ndim_axes = len(dims)
         self.total_dim = int(np.prod(dims))
-        self._factor = None
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
@@ -92,10 +85,6 @@ def build_tensor_operators(axis_pairs):
     return mass, KroneckerOperator(terms)
 
 
-def kron_matvec(op, x):
-    return op.matvec(x)
-
-
 def kron_mass_factor(mass):
     """Per-axis Cholesky solver for a single-product Kronecker mass.
 
@@ -115,10 +104,3 @@ def kron_mass_factor(mass):
         return X.reshape(-1)
 
     return solve
-
-
-def kron_mass_solve(mass, b):
-    """Solve mass @ u = b, caching the factorization on the operator."""
-    if mass._factor is None:
-        mass._factor = kron_mass_factor(mass)
-    return mass._factor(b)

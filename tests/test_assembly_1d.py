@@ -233,6 +233,12 @@ def test_per_level_weights():
     assert pen.eta_b == (0.5, 0.0)
     with pytest.raises(ValueError):
         build_penalties(kv, eta_a=(1.0,))
+    for bad in (-1.0, np.nan, np.inf, (1.0, -2.0)):
+        with pytest.raises(ValueError, match="eta_b"):
+            build_penalties(kv, eta_b=bad)
+    # rejected even where there is no penalty level to weight
+    with pytest.raises(ValueError, match="eta_a"):
+        build_penalties(open_uniform_knots(2, 6), eta_a=-1.0)
 
 
 def test_coefficient_validation():

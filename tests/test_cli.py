@@ -193,3 +193,43 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--degrees", "5", "--elements", "10", "--steps", "20", "--final-time", "0.02"],
+    ["stability-region", "--degrees", "5", "--elements", "10"],
+    ["convergence", "--mode", "space", "--degrees", "5", "--elements", "5,10",
+     "--steps", "20", "--final-time", "0.02"],
+    ["convergence", "--mode", "time", "--degrees", "5", "--elements", "10",
+     "--steps", "20,40", "--final-time", "0.02"],
+])
+def test_penalty_weights_take_effect(tmp_path, argv):
+    default, unweighted = tmp_path / "default.csv", tmp_path / "eta0.csv"
+    assert main(argv + ["--out", str(default)]) == 0
+    assert main(argv + ["--eta-a", "0", "--eta-b", "0", "--out", str(unweighted)]) == 0
+    assert default.read_bytes() != unweighted.read_bytes()
+
+
+def test_invalid_penalty_weight_exits_2(tmp_path, capsys):
+    rc = main(["spectrum", "--degrees", "3", "--elements", "5", "--eta-b=-1e9",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "penalty weight eta_b must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["mode = time", "stride = 3", "init = greville"])
+def test_config_key_of_another_subcommand_rejected(tmp_path, line):
+    cfg = tmp_path / "other.ini"
+    cfg.write_text(f"[spectrum]\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line", ["degrees = ,", "kappa = two", "dim = 4"])
+def test_config_value_checked_like_its_flag(tmp_path, line):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[spectrum]\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
