@@ -1,0 +1,53 @@
+"""Layer microbenchmarks (pytest-benchmark).
+
+Run from the repository root with
+
+    PYTHONPATH=src python -m pytest benchmarks --benchmark-only
+
+Outside the default test paths, so the test suite does not collect them.
+Add --benchmark-json=FILE to keep the numbers.
+"""
+
+import numpy as np
+import pytest
+
+from igawave.experiments import build_1d, spectrum_table
+from igawave.quadrature import gauss_legendre, map_to_element
+from igawave.spline_basis import eval_basis_many, open_uniform_knots
+
+
+def test_eval_basis_many_6000_gauss_points(benchmark):
+    kv = open_uniform_knots(5, 1000)
+    bp = kv.breakpoints
+    xs, _ = map_to_element(gauss_legendre(6), bp[:-1], bp[1:])
+    firsts, ders = benchmark(eval_basis_many, kv, xs.ravel(), 1)
+    assert ders.shape == (6000, 2, 6)
+
+
+@pytest.mark.parametrize("N", [80, 1000])
+def test_build_1d_p5(benchmark, N):
+    d = benchmark(build_1d, 5, N)
+    assert d.Mt.n == N + 3
+
+
+def test_spectrum_table_cell_n1000(benchmark):
+    rows = benchmark.pedantic(spectrum_table, args=([5], [1000]), kwargs={"workers": 1},
+                              rounds=3, iterations=1)
+    assert rows[0]["ratio"] > 1.0
+
+
+@pytest.fixture(scope="module")
+def penalized_n1003():
+    d = build_1d(5, 1000)
+    return d.Kt, d.Mt, np.random.default_rng(0).standard_normal(d.Kt.n)
+
+
+def test_stiffness_apply_n1003(benchmark, penalized_n1003):
+    K, _, x = penalized_n1003
+    K.matvec(x)  # the dense copy is built once, outside the timing
+    assert benchmark(K.matvec, x).shape == x.shape
+
+
+def test_mass_solve_n1003(benchmark, penalized_n1003):
+    _, M, x = penalized_n1003
+    assert benchmark(M.factor(), x).shape == x.shape

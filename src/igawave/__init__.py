@@ -20,7 +20,14 @@ from .assembly_1d import (
     kappa_variant,
     penalized_forms,
 )
-from .eigen import NumericalFailure, PowerResult, SpectrumResult, full_spectrum, max_eigenvalue
+from .eigen import (
+    NumericalFailure,
+    PowerResult,
+    SpectrumResult,
+    full_spectrum,
+    max_eigenvalue,
+    top_eigenvalue,
+)
 from .experiments import (
     BlowupDetected,
     Discretization1D,

@@ -34,6 +34,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "assemble_penalty",
+    "element_tables",
     "PenaltySet",
     "build_penalties",
     "penalized_forms",
@@ -139,23 +140,37 @@ def alpha_of(p):
     return (p - 1) // 2
 
 
-def _assemble_product(kv, rule, deriv, coeff=None, interior=True):
-    # Generic  integral of c(x) B_k^(d) B_l^(d)  over all elements.
-    p, N = kv.p, kv.nelems
-    dim = kv.dim
+def element_tables(kv, rule, max_deriv):
+    """Quadrature points, weights, first active index and basis table per element.
+
+    Returns (x, w, firsts, vals) with shapes (N, q), (N, q), (N,) and
+    (N, q, max_deriv + 1, p + 1), from one basis evaluation over all points.
+    """
     bp = kv.breakpoints
-    full = np.zeros((dim, dim))
-    for e in range(N):
-        x, w = map_to_element(rule, bp[e], bp[e + 1])
-        firsts, vals = eval_basis_many(kv, x, deriv)
-        first = firsts[0]
-        v = vals[:, deriv, :]
+    x, w = map_to_element(rule, bp[:-1], bp[1:])
+    firsts, vals = eval_basis_many(kv, x.ravel(), max_deriv)
+    return x, w, firsts[:: rule.npoints], vals.reshape(x.shape + vals.shape[1:])
+
+
+def _assemble_product(kv, rule, deriv, coeff=None, interior=True):
+    # Generic  integral of c(x) B_k^(d) B_l^(d)  over all elements, written
+    # straight into upper banded storage.
+    p = kv.p
+    xs, ws, firsts, vals = element_tables(kv, rule, deriv)
+    local = np.empty((kv.nelems, p + 1, p + 1))
+    for e, (x, w, v) in enumerate(zip(xs, ws, vals[:, :, deriv, :])):
         wq = w if coeff is None else w * coeff(x)
-        local = np.einsum("q,qa,qb->ab", wq, v, v)
-        full[first : first + p + 1, first : first + p + 1] += local
+        local[e] = np.einsum("q,qa,qb->ab", wq, v, v)
+    # Entry (first + a, first + b) of an element lands in ab[p + a - b, first + b];
+    # taking b downwards adds each entry's contributions in element order.
+    ab = np.zeros((p + 1, kv.dim))
+    for b in range(p, -1, -1):
+        for a in range(b + 1):
+            ab[p + a - b, firsts + b] += local[:, a, b]
     if interior:
-        full = full[1:-1, 1:-1]
-    return BandedSymMatrix.from_dense(full, p)
+        ab = ab[:, 1:-1].copy()
+        ab[p - 1 - np.arange(p), np.arange(p)] = 0.0  # the dropped first row
+    return BandedSymMatrix(ab)
 
 
 def assemble_mass(kv, rule, interior=True):
@@ -170,14 +185,10 @@ def assemble_stiffness(kv, rule, coeff, interior=True):
 
 def assemble_load(kv, rule, f, interior=True):
     """Load vector F_k = ∫ f(x) B_k(x) dx for a callable f of x."""
-    p, N = kv.p, kv.nelems
-    bp = kv.breakpoints
+    p = kv.p
     full = np.zeros(kv.dim)
-    for e in range(N):
-        x, w = map_to_element(rule, bp[e], bp[e + 1])
-        firsts, vals = eval_basis_many(kv, x, 0)
-        first = firsts[0]
-        full[first : first + p + 1] += (w * f(x)) @ vals[:, 0, :]
+    for x, w, first, v in zip(*element_tables(kv, rule, 0)):
+        full[first : first + p + 1] += (w * f(x)) @ v[:, 0, :]
     return full[1:-1] if interior else full
 
 
@@ -195,8 +206,11 @@ def assemble_penalty(kv, ell, variant="endpoint", rule=None, interior=True):
         d0, d1 = boundary_derivative_vectors(kv, 2 * ell)
         if interior:
             d0, d1 = d0[1:-1], d1[1:-1]
-        dense = np.outer(d0, d0) + np.outer(d1, d1)
-        return BandedSymMatrix.from_dense(dense, kv.p)
+        # Band entry ab[p + i - j, j] = d0[i] d0[j] + d1[i] d1[j], zero above row 0.
+        j = np.arange(d0.size)
+        i = j - kv.p + np.arange(kv.p + 1)[:, None]
+        ic = np.maximum(i, 0)
+        return BandedSymMatrix(np.where(i >= 0, d0[ic] * d0[j] + d1[ic] * d1[j], 0.0))
     if variant == "integral":
         if rule is None:
             raise ValueError("integral penalty needs a quadrature rule")

@@ -186,6 +186,8 @@ def _run_convergence(parser, args):
             degrees = args.degrees or [3, 4, 5]
             elements = args.elements or [4, 8, 16, 32]
             n_steps = _single(parser, args.steps, "steps", 100)
+        if len(elements) < 2:
+            parser.error("space-refinement mode needs at least two element counts")
         rows = ex.convergence_space(
             degrees,
             elements,

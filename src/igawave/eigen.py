@@ -1,8 +1,8 @@
 """Generalized symmetric eigensolvers for the pair (K, M).
 
-Two independent routes: a dense LAPACK solve of the whole spectrum for
-small systems, and a matrix-free route for the largest eigenvalue.  The two
-must agree; the test suite leans on that.
+Two independent routes: a dense LAPACK solve for small systems (the whole
+spectrum, or only its top), and a matrix-free route for the largest
+eigenvalue.  The two must agree; the test suite leans on that.
 
 The matrix-free route is scipy's implicitly restarted Lanczos (ARPACK) on
 LinearOperators built from the caller's callables.  Penalized spectra end
@@ -22,6 +22,7 @@ __all__ = [
     "SpectrumResult",
     "PowerResult",
     "full_spectrum",
+    "top_eigenvalue",
     "max_eigenvalue",
 ]
 
@@ -62,21 +63,35 @@ class PowerResult:
     residual: float
 
 
+def _dense_pair(K, M):
+    Kd, Md = _dense(K), _dense(M)
+    if Kd.shape[0] > DENSE_LIMIT:
+        raise ValueError(f"dense route limited to {DENSE_LIMIT} unknowns, got {Kd.shape[0]}")
+    return Kd, Md
+
+
 def full_spectrum(K, M):
     """All eigenvalues of K u = lambda M u by a dense symmetric solve.
 
     Accepts ndarrays or anything with a to_dense() method; refuses systems
     larger than 2000 unknowns, which the iterative route should handle.
     """
-    Kd, Md = _dense(K), _dense(M)
-    n = Kd.shape[0]
-    if n > DENSE_LIMIT:
-        raise ValueError(f"dense route limited to {DENSE_LIMIT} unknowns, got {n}")
+    Kd, Md = _dense_pair(K, M)
     vals, vecs = eigh(Kd, Md)
     u = vecs[:, -1]
     mu = Md @ u
     res = float(np.linalg.norm(Kd @ u - vals[-1] * mu) / np.linalg.norm(mu))
     return SpectrumResult(eigenvalues=vals, top_residual=res)
+
+
+def top_eigenvalue(K, M):
+    """Largest eigenvalue of K u = lambda M u, densely but without the rest.
+
+    Same inputs and size limit as full_spectrum.
+    """
+    Kd, Md = _dense_pair(K, M)
+    n = Kd.shape[0]
+    return float(eigh(Kd, Md, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
 
 
 def max_eigenvalue(

@@ -19,7 +19,7 @@ from .assembly_1d import (
     kappa_variant,
     penalized_forms,
 )
-from .eigen import NumericalFailure, full_spectrum
+from .eigen import NumericalFailure, top_eigenvalue
 from .integrator import (
     critical_omega,
     initial_state,
@@ -123,8 +123,8 @@ def spectrum_table(
     def one(cell):
         p, N = cell
         d = build_1d(p, N, kappa, variant, eta_a, eta_b)
-        lam = dim * full_spectrum(d.K, d.M).max
-        lam_t = dim * full_spectrum(d.Kt, d.Mt).max
+        lam = dim * top_eigenvalue(d.K, d.M)
+        lam_t = dim * top_eigenvalue(d.Kt, d.Mt)
         tau = c_rho / np.sqrt(lam)
         tau_t = c_rho / np.sqrt(lam_t)
         return {
@@ -295,8 +295,8 @@ def stability_region(
     if rho_values is None:
         rho_values = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)
     d = build_1d(p, N, kappa, variant, eta_a, eta_b)
-    lam = full_spectrum(d.K, d.M).max
-    lam_t = full_spectrum(d.Kt, d.Mt).max
+    lam = top_eigenvalue(d.K, d.M)
+    lam_t = top_eigenvalue(d.Kt, d.Mt)
 
     def one(rho):
         c = critical_omega(params_from_rho(rho))
@@ -398,7 +398,7 @@ def free_run(p, N, rho, tau_factor, n_steps, kappa="one", variant="endpoint", se
     the run stays bounded, above it the blow-up flag fires quickly.
     """
     d = build_1d(p, N, kappa, variant)
-    lam_t = full_spectrum(d.Kt, d.Mt).max
+    lam_t = top_eigenvalue(d.Kt, d.Mt)
     params = params_from_rho(rho)
     tau = tau_factor * critical_omega(params) / np.sqrt(lam_t)
     solve = d.Mt.factor()

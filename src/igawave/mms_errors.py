@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly_1d import assemble_load, assemble_mass, kappa_variant
-from .quadrature import map_to_element
+from .assembly_1d import assemble_load, assemble_mass, element_tables, kappa_variant
 from .spline_basis import eval_basis_many, greville_points
 
 __all__ = [
@@ -130,13 +129,12 @@ def initial_coefficients(kv, rule, fn, method="project"):
         pts = greville_points(kv)[1:-1]
         n = kv.interior_dim
         A = np.zeros((n, n))
-        for i, x in enumerate(pts):
-            first, ders = eval_basis_many(kv, [x], 0)
-            lo = first[0]
+        firsts, ders = eval_basis_many(kv, pts, 0)
+        for i, (lo, row) in enumerate(zip(firsts, ders[:, 0, :])):
             for a in range(kv.p + 1):
                 j = lo + a - 1  # shift into interior numbering
                 if 0 <= j < n:
-                    A[i, j] = ders[0, 0, a]
+                    A[i, j] = row[a]
         return np.linalg.solve(A, fn(pts))
     raise ValueError(f"unknown initialization {method!r}")
 
@@ -144,13 +142,9 @@ def initial_coefficients(kv, rule, fn, method="project"):
 def _error_1d(kv, coeffs, exact, rule, deriv):
     full = np.zeros(kv.dim)
     full[1:-1] = coeffs
-    bp = kv.breakpoints
     total = 0.0
-    for e in range(kv.nelems):
-        x, w = map_to_element(rule, bp[e], bp[e + 1])
-        firsts, vals = eval_basis_many(kv, x, deriv)
-        lo = firsts[0]
-        uh = vals[:, deriv, :] @ full[lo : lo + kv.p + 1]
+    for x, w, lo, v in zip(*element_tables(kv, rule, deriv)):
+        uh = v[:, deriv, :] @ full[lo : lo + kv.p + 1]
         total += float(w @ (uh - exact(x)) ** 2)
     return np.sqrt(total)
 
@@ -165,31 +159,15 @@ def h1_seminorm_error(kv, coeffs, exact_dx, rule):
     return _error_1d(kv, coeffs, exact_dx, rule, 1)
 
 
-def _axis_tables(kv, rule, max_deriv):
-    bp = kv.breakpoints
-    xs, ws, vals, los = [], [], [], []
-    for e in range(kv.nelems):
-        x, w = map_to_element(rule, bp[e], bp[e + 1])
-        firsts, v = eval_basis_many(kv, x, max_deriv)
-        xs.append(x)
-        ws.append(w)
-        vals.append(v)
-        los.append(firsts[0])
-    return xs, ws, vals, los
-
-
 def _error_2d(kvx, kvy, coeffs, exact, rule, dx, dy):
     nx, ny = kvx.interior_dim, kvy.interior_dim
     C = np.zeros((kvx.dim, kvy.dim))
     C[1:-1, 1:-1] = np.asarray(coeffs).reshape(nx, ny)
-    tx = _axis_tables(kvx, rule, dx)
-    ty = _axis_tables(kvy, rule, dy)
+    ty = list(zip(*element_tables(kvy, rule, dy)))
     px, py = kvx.p, kvy.p
     total = 0.0
-    for ex in range(kvx.nelems):
-        x, wx, vx, lox = tx[0][ex], tx[1][ex], tx[2][ex], tx[3][ex]
-        for ey in range(kvy.nelems):
-            y, wy, vy, loy = ty[0][ey], ty[1][ey], ty[2][ey], ty[3][ey]
+    for x, wx, lox, vx in zip(*element_tables(kvx, rule, dx)):
+        for y, wy, loy, vy in ty:
             block = C[lox : lox + px + 1, loy : loy + py + 1]
             uh = np.einsum("qa,rb,ab->qr", vx[:, dx, :], vy[:, dy, :], block)
             diff = uh - exact(x[:, None], y[None, :])

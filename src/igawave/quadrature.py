@@ -52,7 +52,11 @@ def rule_for_degree(p, smooth_coefficient=True):
 
 
 def map_to_element(rule, a, b):
-    """Affinely map the reference rule to [a, b]; returns (points, weights)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    """Affinely map the reference rule to [a, b]; returns (points, weights).
+
+    With arrays of element ends a and b, row e of each result belongs to
+    element [a[e], b[e]].
+    """
+    mid = np.asarray(0.5 * (a + b))[..., None]
+    half = np.asarray(0.5 * (b - a))[..., None]
     return mid + half * rule.nodes, half * rule.weights

@@ -74,73 +74,26 @@ def open_uniform_knots(p, N):
     return KnotVector(p=p, nelems=N, knots=knots)
 
 
+def _find_spans(kv, xs):
+    # Vector form of find_span; xs is a 1D float array.
+    inside = (xs >= 0.0) & (xs <= 1.0)
+    if not inside.all():
+        raise ValueError(f"point {xs[~inside][0]} outside [0, 1]")
+    p, N = kv.p, kv.nelems
+    # Uniform interior knots let us index directly instead of bisecting.
+    e = (xs * N).astype(int)
+    up = kv.knots[p + e + 1] <= xs  # guard against float truncation at breakpoints
+    down = ~up & (kv.knots[p + e] > xs)
+    return np.where(xs >= 1.0, N + p - 1, p + e + up - down)
+
+
 def find_span(kv, x):
     """Index s with knots[s] <= x < knots[s+1], one-sided from the right.
 
     At x = 1 the last non-empty span is returned, so derivative values
     there come from the final element.
     """
-    if x < 0.0 or x > 1.0:
-        raise ValueError(f"point {x} outside [0, 1]")
-    p, N = kv.p, kv.nelems
-    if x >= 1.0:
-        return N + p - 1
-    # Uniform interior knots let us index directly instead of bisecting.
-    e = int(x * N)
-    if kv.knots[p + e + 1] <= x:  # guard against float truncation at breakpoints
-        e += 1
-    elif kv.knots[p + e] > x:
-        e -= 1
-    return p + e
-
-
-def _all_basis_derivatives(knots, span, x, p, n):
-    # Triangular table of the Cox-de Boor recursion, then the derivative
-    # sweep in terms of the inverse knot differences.
-    ndu = np.empty((p + 1, p + 1))
-    ndu[0, 0] = 1.0
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
-    for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-
-    ders = np.zeros((n + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.empty((2, p + 1))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, n + 1):
-            d = 0.0
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-
-    fac = float(p)
-    for k in range(1, n + 1):
-        ders[k, :] *= fac
-        fac *= p - k
-    return ders
+    return int(_find_spans(kv, np.array([x], dtype=float))[0])
 
 
 def eval_basis(kv, x, max_deriv=0):
@@ -162,26 +115,71 @@ def eval_basis(kv, x, max_deriv=0):
     ders : ndarray, shape (max_deriv + 1, p + 1)
         ders[k, a] is the k-th derivative of basis function first + a.
     """
-    p = kv.p
-    if not 0 <= max_deriv <= p:
-        raise ValueError(f"derivative order {max_deriv} outside 0..{p}")
-    span = find_span(kv, x)
-    ders = _all_basis_derivatives(kv.knots, span, x, p, max_deriv)
-    return span - p, ders
+    firsts, ders = eval_basis_many(kv, [x], max_deriv)
+    return int(firsts[0]), ders[0]
 
 
 def eval_basis_many(kv, xs, max_deriv=0):
     """Vector variant of eval_basis over a 1D array of points.
 
     Returns (firsts, ders) with shapes (len(xs),) and
-    (len(xs), max_deriv + 1, p + 1).
+    (len(xs), max_deriv + 1, p + 1).  Each point goes through exactly the
+    floating-point operations of the one-point recurrence (Piegl & Tiller,
+    A2.3), only on arrays over points, so the values do not depend on how
+    the points are batched.
     """
+    p, n, knots = kv.p, max_deriv, kv.knots
+    if not 0 <= n <= p:
+        raise ValueError(f"derivative order {n} outside 0..{p}")
     xs = np.asarray(xs, dtype=float)
-    firsts = np.empty(xs.shape[0], dtype=int)
-    out = np.empty((xs.shape[0], max_deriv + 1, kv.p + 1))
-    for i, x in enumerate(xs):
-        firsts[i], out[i] = eval_basis(kv, x, max_deriv)
-    return firsts, out
+    span = _find_spans(kv, xs)
+    m = xs.shape[0]
+    # Triangular table of the Cox-de Boor recursion, then the derivative
+    # sweep in terms of the inverse knot differences.
+    ndu = np.empty((p + 1, p + 1, m))
+    ndu[0, 0] = 1.0
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
+    for j in range(1, p + 1):
+        left[j] = xs - knots[span + 1 - j]
+        right[j] = knots[span + j] - xs
+        saved = np.zeros(m)
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((n + 1, p + 1, m))
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1, m))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, n + 1):
+            d = np.zeros(m)
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d = d + a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d = d + a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+
+    fac = float(p)
+    for k in range(1, n + 1):
+        ders[k] *= fac
+        fac *= p - k
+    return span - p, np.ascontiguousarray(ders.transpose(2, 0, 1))
 
 
 def greville_points(kv):

@@ -18,8 +18,8 @@ from igawave.assembly_1d import (
     kappa_variant,
     penalized_forms,
 )
-from igawave.quadrature import gauss_legendre
-from igawave.spline_basis import open_uniform_knots
+from igawave.quadrature import gauss_legendre, map_to_element
+from igawave.spline_basis import boundary_derivative_vectors, eval_basis_many, open_uniform_knots
 
 ONE = kappa_variant("one")
 EXP = kappa_variant("exp")
@@ -268,3 +268,50 @@ def test_smallest_eigenvalue_superconverges_to_pi_squared():
             errs.append(abs(lam0 - np.pi**2))
         rate = np.log2(errs[0] / errs[1])
         assert abs(rate - 2 * p) < 0.25
+
+
+def dense_reference(kv, rule, deriv, coeff=None, interior=True):
+    """Element-by-element dense assembly, the layout the banded one replaced.
+
+    The banded assembly performs the same per-element products and adds them
+    in the same element order, so it must match exactly.  Only the upper
+    triangle is mirrored, as the banded storage keeps only that.
+    """
+    p = kv.p
+    full = np.zeros((kv.dim, kv.dim))
+    bp = kv.breakpoints
+    for e in range(kv.nelems):
+        x, w = map_to_element(rule, bp[e], bp[e + 1])
+        firsts, vals = eval_basis_many(kv, x, deriv)
+        first, v = firsts[0], vals[:, deriv, :]
+        wq = w if coeff is None else w * coeff(x)
+        full[first : first + p + 1, first : first + p + 1] += np.einsum("q,qa,qb->ab", wq, v, v)
+    if interior:
+        full = full[1:-1, 1:-1]
+    return np.triu(full) + np.triu(full, 1).T
+
+
+def assert_banded_equals(B, dense):
+    np.testing.assert_array_equal(B.to_dense(), dense)
+    np.testing.assert_array_equal(B.ab, BandedSymMatrix.from_dense(dense, B.bandwidth).ab)
+
+
+@pytest.mark.parametrize("interior", [True, False])
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 6])
+def test_banded_assembly_matches_dense_reference_exactly(p, interior):
+    for N in (2, 3, 7, 40):
+        kv = open_uniform_knots(p, N)
+        for coeff in (ONE, EXP):
+            rule = gauss_legendre(p + 1 if coeff.smooth_polynomial else p + 3)
+            assert_banded_equals(assemble_mass(kv, rule, interior),
+                                 dense_reference(kv, rule, 0, None, interior))
+            assert_banded_equals(assemble_stiffness(kv, rule, coeff, interior),
+                                 dense_reference(kv, rule, 1, coeff, interior))
+        for ell in range(1, alpha_of(p) + 1):
+            assert_banded_equals(assemble_penalty(kv, ell, "integral", rule, interior),
+                                 dense_reference(kv, rule, 2 * ell, None, interior))
+            d0, d1 = boundary_derivative_vectors(kv, 2 * ell)
+            if interior:
+                d0, d1 = d0[1:-1], d1[1:-1]
+            assert_banded_equals(assemble_penalty(kv, ell, "endpoint", interior=interior),
+                                 np.outer(d0, d0) + np.outer(d1, d1))

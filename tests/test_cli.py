@@ -233,3 +233,11 @@ def test_config_value_checked_like_its_flag(tmp_path, line):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+def test_space_mode_needs_two_element_counts(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--degrees", "5", "--elements", "10",
+              "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "space-refinement mode needs at least two element counts" in capsys.readouterr().err

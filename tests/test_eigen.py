@@ -11,7 +11,7 @@ from igawave.assembly_1d import (
     kappa_variant,
     penalized_forms,
 )
-from igawave.eigen import NumericalFailure, full_spectrum, max_eigenvalue
+from igawave.eigen import NumericalFailure, full_spectrum, max_eigenvalue, top_eigenvalue
 from igawave.quadrature import gauss_legendre
 from igawave.spline_basis import open_uniform_knots
 
@@ -143,3 +143,18 @@ def test_tolerance_validation():
         power_on(M, K, tol=0.0)
     with pytest.raises(ValueError, match="2 unknowns"):
         max_eigenvalue(lambda v: 2 * v, lambda b: b, 1, apply_M=lambda v: v)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_top_eigenvalue_matches_full_spectrum(p):
+    for coeff in (ONE, kappa_variant("exp")):
+        for penalized in (False, True):
+            M, K = system(p, 30, coeff, penalized)
+            ref = full_spectrum(K, M).max
+            assert top_eigenvalue(K, M) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_top_eigenvalue_keeps_dense_limit():
+    big = np.eye(2001)
+    with pytest.raises(ValueError, match="dense route limited"):
+        top_eigenvalue(big, big)

@@ -13,6 +13,7 @@ from igawave.spline_basis import (
     greville_points,
     open_uniform_knots,
 )
+from igawave.quadrature import gauss_legendre, map_to_element
 
 
 def scatter(kv, x, deriv=0):
@@ -156,3 +157,84 @@ def test_endpoint_values_are_interpolatory():
         assert np.max(np.abs(row0[1:])) < 1e-14
         assert row1[-1] == pytest.approx(1.0)
         assert np.max(np.abs(row1[:-1])) < 1e-14
+
+
+def scalar_basis_derivatives(kv, x, n):
+    """One-point Cox-de Boor with derivatives (Piegl & Tiller, A2.3).
+
+    The loop the vectorized kernel replaced, kept as its oracle: the kernel
+    performs the same floating-point operations per point, so the two must
+    agree exactly, not to a tolerance.
+    """
+    p, knots = kv.p, kv.knots
+    span = find_span(kv, x)
+    ndu = np.empty((p + 1, p + 1))
+    ndu[0, 0] = 1.0
+    left = np.empty(p + 1)
+    right = np.empty(p + 1)
+    for j in range(1, p + 1):
+        left[j] = x - knots[span + 1 - j]
+        right[j] = knots[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+
+    ders = np.zeros((n + 1, p + 1))
+    ders[0, :] = ndu[:, p]
+    a = np.empty((2, p + 1))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, n + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d += a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d += a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+
+    fac = float(p)
+    for k in range(1, n + 1):
+        ders[k, :] *= fac
+        fac *= p - k
+    return span - p, ders
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_vectorized_kernel_is_bit_identical_to_scalar_oracle(p):
+    rng = np.random.default_rng(100 + p)
+    for N in (2, 5, 40):
+        kv = open_uniform_knots(p, N)
+        gauss = np.concatenate(
+            [map_to_element(gauss_legendre(p + 3), a, b)[0]
+             for a, b in zip(kv.breakpoints[:-1], kv.breakpoints[1:])]
+        )
+        xs = np.concatenate([[0.0, 1.0], kv.breakpoints, gauss, rng.uniform(0, 1, 50)])
+        for n in range(p + 1):
+            firsts, ders = eval_basis_many(kv, xs, n)
+            assert ders.shape == (xs.size, n + 1, p + 1)
+            for i, x in enumerate(xs):
+                first, ref = scalar_basis_derivatives(kv, x, n)
+                assert firsts[i] == first
+                np.testing.assert_array_equal(ders[i], ref)
+
+
+def test_eval_basis_many_rejects_points_outside_unit_interval():
+    kv = open_uniform_knots(3, 4)
+    for bad in (-1e-300, 1.0 + 1e-15, np.nan):
+        with pytest.raises(ValueError):
+            eval_basis_many(kv, [0.5, bad], 1)
