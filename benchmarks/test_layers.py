@@ -11,6 +11,7 @@ Add --benchmark-json=FILE to keep the numbers.
 import numpy as np
 import pytest
 
+from igawave.eigen import top_eigenvalue
 from igawave.experiments import build_1d, spectrum_table
 from igawave.quadrature import gauss_legendre, map_to_element
 from igawave.spline_basis import eval_basis_many, open_uniform_knots
@@ -34,6 +35,13 @@ def test_spectrum_table_cell_n1000(benchmark):
     rows = benchmark.pedantic(spectrum_table, args=([5], [1000]), kwargs={"workers": 1},
                               rounds=3, iterations=1)
     assert rows[0]["ratio"] > 1.0
+
+
+@pytest.mark.parametrize("N", [80, 1000])
+def test_top_eigenvalue_penalized_p5(benchmark, N):
+    d = build_1d(5, N)
+    lam = benchmark(top_eigenvalue, d.Kt, d.Mt)
+    assert lam / (N * np.pi) ** 2 == pytest.approx(1.0, abs=0.01)
 
 
 @pytest.fixture(scope="module")

@@ -30,6 +30,22 @@ def _csv_ints(text):
     return values
 
 
+def _unit_interval(text):
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+# Each subcommand registers only the options it reads, so an option it would
+# ignore is a usage error, on the command line and in a config section alike.
 def _add_common(sub):
     sub.add_argument("--dim", type=int, choices=(1, 2, 3), default=1)
     sub.add_argument("--degrees", type=_csv_ints, default=None,
@@ -37,20 +53,30 @@ def _add_common(sub):
     sub.add_argument("--elements", type=_csv_ints, default=None,
                      help="comma-separated element counts per direction")
     sub.add_argument("--kappa", choices=("one", "exp"), default="one")
-    sub.add_argument("--rho", type=float, default=None,
-                     help="spectral radius parameter of the integrator in [0, 1]")
-    sub.add_argument("--penalty", choices=("off", "on", "both"), default=None)
     sub.add_argument("--variant", choices=tuple(VARIANT_MAP), default="boundary-point",
                      help="penalization flavour")
     sub.add_argument("--eta-a", type=float, default=1.0, dest="eta_a")
     sub.add_argument("--eta-b", type=float, default=1.0, dest="eta_b")
+    sub.add_argument("--out", required=True, help="output CSV path")
+    sub.add_argument("--gnuplot", default=None, help="also write a gnuplot script here")
+    sub.add_argument("--config", default=None, help="INI file with per-subcommand defaults")
+
+
+def _add_scheme(sub):
+    sub.add_argument("--rho", type=_unit_interval, default=None,
+                     help="spectral radius parameter of the integrator in [0, 1]")
+    sub.add_argument("--penalty", choices=("off", "on", "both"), default=None)
+
+
+def _add_time(sub):
     sub.add_argument("--final-time", type=float, default=1.0, dest="final_time")
     sub.add_argument("--steps", type=_csv_ints, default=None,
                      help="step counts; a list in time-refinement mode")
-    sub.add_argument("--out", required=True, help="output CSV path")
-    sub.add_argument("--gnuplot", default=None, help="also write a gnuplot script here")
-    sub.add_argument("--workers", type=int, default=4)
-    sub.add_argument("--config", default=None, help="INI file with per-subcommand defaults")
+
+
+def _add_workers(sub):
+    sub.add_argument("--workers", type=_positive_int, default=4,
+                     help="threads over table cells (at least 1)")
 
 
 def build_parser():
@@ -63,20 +89,28 @@ def build_parser():
 
     sp = subs.add_parser("spectrum", help="eigenvalue and critical-step table")
     _add_common(sp)
+    _add_scheme(sp)
+    _add_workers(sp)
     sub_map["spectrum"] = sp
 
     cv = subs.add_parser("convergence", help="error convergence study")
     _add_common(cv)
+    _add_scheme(cv)
+    _add_time(cv)
+    _add_workers(cv)
     cv.add_argument("--mode", choices=("space", "time"), default="space")
     cv.add_argument("--init", choices=("project", "greville"), default="project")
     sub_map["convergence"] = cv
 
     st = subs.add_parser("stability-region", help="critical steps over a rho grid")
     _add_common(st)
+    _add_workers(st)
     sub_map["stability-region"] = st
 
     so = subs.add_parser("solve", help="single manufactured-solution run")
     _add_common(so)
+    _add_scheme(so)
+    _add_time(so)
     so.add_argument("--init", choices=("project", "greville"), default="project")
     so.add_argument("--stride", type=int, default=None,
                     help="steps between error samples (default steps/200)")
@@ -293,8 +327,6 @@ def main(argv=None):
     if config is not None and command is not None:
         _apply_config(parser, sub_map[command], command, config)
     args = parser.parse_args(argv)
-    if args.rho is not None and not 0.0 <= args.rho <= 1.0:
-        parser.error("--rho must lie in [0, 1]")
 
     runners = {
         "spectrum": _run_spectrum,

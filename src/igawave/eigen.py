@@ -1,8 +1,16 @@
 """Generalized symmetric eigensolvers for the pair (K, M).
 
-Two independent routes: a dense LAPACK solve for small systems (the whole
-spectrum, or only its top), and a matrix-free route for the largest
-eigenvalue.  The two must agree; the test suite leans on that.
+Three routes: a dense LAPACK solve of the whole spectrum for small systems
+(the oracle), a banded LAPACK solve of the top eigenvalue alone with no
+size limit, and a matrix-free route for the largest eigenvalue.  They must
+agree; the test suite leans on that.
+
+The banded route is LAPACK's dsbgvx on the upper band arrays: Crawford's
+split-Cholesky reduction of the banded pair to a standard banded problem,
+tridiagonalization, and bisection for the one eigenvalue asked for.  It
+costs O(n^2 p) time and O(n p) memory and never forms an n x n matrix.
+scipy does not wrap dsbgvx in scipy.linalg.lapack, so it is called through
+the function pointer that scipy.linalg.cython_lapack exports.
 
 The matrix-free route is scipy's implicitly restarted Lanczos (ARPACK) on
 LinearOperators built from the caller's callables.  Penalized spectra end
@@ -12,10 +20,11 @@ bring the residual of the returned vector under its target; a run that
 cannot get there raises NumericalFailure rather than returning a value.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import cython_lapack, eigh
 
 __all__ = [
     "NumericalFailure",
@@ -63,20 +72,16 @@ class PowerResult:
     residual: float
 
 
-def _dense_pair(K, M):
-    Kd, Md = _dense(K), _dense(M)
-    if Kd.shape[0] > DENSE_LIMIT:
-        raise ValueError(f"dense route limited to {DENSE_LIMIT} unknowns, got {Kd.shape[0]}")
-    return Kd, Md
-
-
 def full_spectrum(K, M):
     """All eigenvalues of K u = lambda M u by a dense symmetric solve.
 
     Accepts ndarrays or anything with a to_dense() method; refuses systems
-    larger than 2000 unknowns, which the iterative route should handle.
+    larger than 2000 unknowns, which top_eigenvalue or max_eigenvalue should
+    handle.
     """
-    Kd, Md = _dense_pair(K, M)
+    Kd, Md = _dense(K), _dense(M)
+    if Kd.shape[0] > DENSE_LIMIT:
+        raise ValueError(f"dense route limited to {DENSE_LIMIT} unknowns, got {Kd.shape[0]}")
     vals, vecs = eigh(Kd, Md)
     u = vecs[:, -1]
     mu = Md @ u
@@ -84,14 +89,79 @@ def full_spectrum(K, M):
     return SpectrumResult(eigenvalues=vals, top_residual=res)
 
 
-def top_eigenvalue(K, M):
-    """Largest eigenvalue of K u = lambda M u, densely but without the rest.
+def _lapack_function(name, n_args):
+    """ctypes handle on a routine exported by scipy.linalg.cython_lapack.
 
-    Same inputs and size limit as full_spectrum.
+    Every argument is a pointer (Fortran calling convention).  A CFUNCTYPE
+    call releases the GIL, so calls from pool threads run concurrently.
     """
-    Kd, Md = _dense_pair(K, M)
-    n = Kd.shape[0]
-    return float(eigh(Kd, Md, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
+
+
+_DSBGVX = _lapack_function("dsbgvx", 25)
+
+
+def top_eigenvalue(K, M):
+    """Largest eigenvalue of K u = lambda M u for banded symmetric K and SPD M.
+
+    K and M are BandedSymMatrix objects (upper band storage).  One call to
+    LAPACK dsbgvx computes that eigenvalue and no other: O(n^2 p) time,
+    O(n p) memory, no dense copy and no size limit.
+
+    Raises
+    ------
+    NumericalFailure
+        When dsbgvx reports a non-zero INFO; INFO > n means M is not
+        positive definite.
+    """
+    n = K.n
+    if M.n != n:
+        raise ValueError(f"dimension mismatch: K has {n} unknowns, M has {M.n}")
+    ka, kb = max(K.bandwidth, M.bandwidth), M.bandwidth
+    # dsbgvx needs KA >= KB and overwrites both bands: Fortran-order copies,
+    # K padded with zero superdiagonals when M is the wider one.
+    ab = np.zeros((ka + 1, n), order="F")
+    ab[ka - K.bandwidth :] = K.ab
+    bb = np.array(M.ab, dtype=float, order="F")
+    w = np.empty(n)
+    work = np.empty(7 * n)
+    iwork = np.empty(5 * n, dtype=np.intc)
+    ifail = np.empty(n, dtype=np.intc)
+    unused = np.empty(1)  # Q and Z, not referenced with JOBZ='N'
+    found, info = ctypes.c_int(0), ctypes.c_int(0)
+
+    def char(v):
+        return ctypes.byref(ctypes.c_char(v))
+
+    def int_(v):
+        return ctypes.byref(ctypes.c_int(v))
+
+    def real(v):
+        return ctypes.byref(ctypes.c_double(v))
+
+    _DSBGVX(
+        char(b"N"), char(b"I"), char(b"U"),  # JOBZ, RANGE, UPLO
+        int_(n), int_(ka), int_(kb),
+        ab.ctypes.data, int_(ka + 1), bb.ctypes.data, int_(kb + 1),
+        unused.ctypes.data, int_(1),  # Q, LDQ
+        real(0.0), real(0.0), int_(n), int_(n), real(0.0),  # VL, VU, IL, IU, ABSTOL
+        ctypes.byref(found), w.ctypes.data, unused.ctypes.data, int_(1),  # M, W, Z, LDZ
+        work.ctypes.data, iwork.ctypes.data, ifail.ctypes.data, ctypes.byref(info),
+    )
+    if info.value != 0:
+        cause = " (M is not positive definite)" if info.value > n else ""
+        raise NumericalFailure(f"dsbgvx failed with INFO={info.value}{cause}")
+    if found.value != 1:
+        raise NumericalFailure(f"dsbgvx returned {found.value} eigenvalues, expected 1")
+    return float(w[0])
 
 
 def max_eigenvalue(

@@ -107,8 +107,8 @@ def spectrum_table(
 
     In 2D and 3D the axes are identical, and the eigenvalues of the tensor
     pair are sums of per-axis eigenvalues, so the maximum is dim times the
-    1D maximum computed densely per axis.  Variable coefficients are 1D
-    only.
+    1D maximum, which top_eigenvalue computes from the banded 1D pair.
+    Variable coefficients are 1D only.
 
     Returns a list of row dicts sorted by (p, N).
     """

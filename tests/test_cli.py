@@ -217,7 +217,8 @@ def test_invalid_penalty_weight_exits_2(tmp_path, capsys):
     assert "penalty weight eta_b must be finite and non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["mode = time", "stride = 3", "init = greville"])
+@pytest.mark.parametrize("line", ["mode = time", "stride = 3", "init = greville",
+                                  "final-time = 2"])
 def test_config_key_of_another_subcommand_rejected(tmp_path, line):
     cfg = tmp_path / "other.ini"
     cfg.write_text(f"[spectrum]\n{line}\n")
@@ -226,7 +227,8 @@ def test_config_key_of_another_subcommand_rejected(tmp_path, line):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("line", ["degrees = ,", "kappa = two", "dim = 4"])
+@pytest.mark.parametrize("line", ["degrees = ,", "kappa = two", "dim = 4", "rho = 1.5",
+                                  "workers = 0"])
 def test_config_value_checked_like_its_flag(tmp_path, line):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[spectrum]\n{line}\n")
@@ -241,3 +243,31 @@ def test_space_mode_needs_two_element_counts(tmp_path, capsys):
               "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
     assert "space-refinement mode needs at least two element counts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability-region", "--rho", "0.5"],
+    ["stability-region", "--penalty", "on"],
+    ["stability-region", "--final-time", "2"],
+    ["stability-region", "--steps", "100"],
+    ["spectrum", "--final-time", "2"],
+    ["spectrum", "--steps", "100"],
+    ["solve", "--workers", "2"],
+    ["spectrum", "--workers", "0"],
+    ["convergence", "--workers", "-3"],
+])
+def test_option_the_subcommand_does_not_read_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_spectrum_beyond_the_dense_limit(tmp_path):
+    out = tmp_path / "big.csv"
+    N = 2500  # 2502 unknowns per operator at p=5
+    rc = main(["spectrum", "--degrees", "5", "--elements", str(N), "--workers", "1",
+               "--out", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert float(rows[0]["lambda_tilde"]) / (N * math.pi) ** 2 == pytest.approx(1.0, abs=0.01)

@@ -1,10 +1,16 @@
 """Dense and iterative eigensolvers against each other and closed forms."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from mpmath import mp
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from igawave.assembly_1d import (
+    BandedSymMatrix,
     assemble_mass,
     assemble_stiffness,
     build_penalties,
@@ -145,16 +151,50 @@ def test_tolerance_validation():
         max_eigenvalue(lambda v: 2 * v, lambda b: b, 1, apply_M=lambda v: v)
 
 
+def extended_top_eigenvalue(K, M, dps=40):
+    """Top eigenvalue of the stored pair, accurate far beyond double.
+
+    One sweep of shifted inverse iteration in mpmath, started from the
+    dense double-precision top pair, then the Rayleigh quotient.  The shift
+    is within ~1e-13 relative of the eigenvalue and the top gap is ~1e-4
+    relative even when penalized, so the sweep gains about nine digits of
+    the vector and the quotient doubles them.  On the 16 cells below this
+    agrees with a full 40-digit mp.eigsy of the same pair to 1e-37.
+    """
+    Kd, Md = K.to_dense(), M.to_dense()
+    vals, vecs = eigh(Kd, Md)
+    with mp.workdps(dps):
+        Km, Mm = mp.matrix(Kd.tolist()), mp.matrix(Md.tolist())
+        shifted = Km - mp.mpf(vals[-1]) * Mm
+        x = mp.lu_solve(shifted, Mm * mp.matrix(vecs[:, -1].tolist()))
+        return float((x.T * Km * x)[0] / (x.T * Mm * x)[0])
+
+
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
 def test_top_eigenvalue_matches_full_spectrum(p):
+    # The reference is extended precision: dense eigh is itself ~3e-13 off
+    # on the penalized p=6 exp cell, where cond(M) ~ 1e8.
     for coeff in (ONE, kappa_variant("exp")):
         for penalized in (False, True):
             M, K = system(p, 30, coeff, penalized)
-            ref = full_spectrum(K, M).max
+            ref = extended_top_eigenvalue(K, M)
             assert top_eigenvalue(K, M) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
-def test_top_eigenvalue_keeps_dense_limit():
-    big = np.eye(2001)
-    with pytest.raises(ValueError, match="dense route limited"):
-        top_eigenvalue(big, big)
+def test_top_eigenvalue_has_no_size_limit():
+    N = 2500  # 2499 unknowns, above full_spectrum's dense limit
+    h = 1.0 / N
+    M, K = system(1, N)
+    theta = (N - 1) * math.pi * h
+    exact = 12.0 * (1 - math.cos(theta)) / (h**2 * (4 + 2 * math.cos(theta)))
+    assert top_eigenvalue(K, M) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_top_eigenvalue_rejects_indefinite_mass():
+    n = 6
+    K = BandedSymMatrix(np.vstack([np.full(n, -1.0), np.full(n, 2.0)]))
+    M = BandedSymMatrix(np.vstack([np.full(n, 0.1), np.full(n, -1.0)]))
+    with pytest.raises(NumericalFailure, match="not positive definite") as exc:
+        top_eigenvalue(K, M)
+    info = int(re.search(r"INFO=(\d+)", str(exc.value)).group(1))
+    assert n < info <= 2 * n  # LAPACK's code for a failed factorization of M
