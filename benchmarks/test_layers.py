@@ -13,8 +13,10 @@ import pytest
 
 from igawave.eigen import top_eigenvalue
 from igawave.experiments import build_1d, spectrum_table
+from igawave.integrator import critical_omega, initial_state, integrate, params_from_rho
 from igawave.quadrature import gauss_legendre, map_to_element
 from igawave.spline_basis import eval_basis_many, open_uniform_knots
+from igawave.tensor_ops import build_tensor_operators, kron_mass_factor
 
 
 def test_eval_basis_many_6000_gauss_points(benchmark):
@@ -59,3 +61,37 @@ def test_stiffness_apply_n1003(benchmark, penalized_n1003):
 def test_mass_solve_n1003(benchmark, penalized_n1003):
     _, M, x = penalized_n1003
     assert benchmark(M.factor(), x).shape == x.shape
+
+
+STEPS = 1000
+
+
+def test_integrate_1000_steps_p5_n40(benchmark):
+    """1000 steps of the default solve problem size; per step is median / 1000."""
+    d = build_1d(5, 40)
+    solve, apply_K = d.Mt.factor(), d.Kt.matvec
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal(d.Mt.n)
+    params = params_from_rho(1.0)
+    tau = 0.5 * critical_omega(params) / np.sqrt(top_eigenvalue(d.Kt, d.Mt))
+    s0 = initial_state(solve, apply_K, f, rng.standard_normal(d.Mt.n), np.zeros(d.Mt.n))
+    res = benchmark(integrate, s0, solve, apply_K, lambda t: f, tau, STEPS, params)
+    assert not res.blew_up and res.steps_completed == STEPS
+
+
+@pytest.fixture(scope="module")
+def kron_p5_n64():
+    d = build_1d(5, 64)
+    mass, stiff = build_tensor_operators([(d.Mt, d.Kt)] * 2)
+    stiff.matvec(np.zeros(stiff.total_dim))  # dense axis copies built outside the timing
+    return mass, stiff, np.random.default_rng(0).standard_normal(mass.total_dim)
+
+
+def test_kron_stiffness_apply_2d_n64(benchmark, kron_p5_n64):
+    _, stiff, x = kron_p5_n64
+    assert benchmark(stiff.matvec, x).shape == x.shape
+
+
+def test_kron_mass_solve_2d_n64(benchmark, kron_p5_n64):
+    mass, _, x = kron_p5_n64
+    assert benchmark(kron_mass_factor(mass), x).shape == x.shape

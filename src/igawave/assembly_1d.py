@@ -20,7 +20,8 @@ The outlier-removal penalties come in two flavours:
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .quadrature import map_to_element
 from .spline_basis import boundary_derivative_vectors, eval_basis_many
@@ -87,17 +88,6 @@ class BandedSymMatrix:
         self.n = self.ab.shape[1]
         self._dense = None
 
-    @classmethod
-    def from_dense(cls, a, bandwidth):
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        u = bandwidth
-        ab = np.zeros((u + 1, n))
-        for j in range(n):
-            i0 = max(0, j - u)
-            ab[u + i0 - j : u + 1, j] = a[i0 : j + 1, j]
-        return cls(ab)
-
     def to_dense(self):
         if self._dense is None:
             u, n = self.bandwidth, self.n
@@ -124,11 +114,23 @@ class BandedSymMatrix:
         return BandedSymMatrix(ab)
 
     def factor(self):
-        """Banded Cholesky handle; solve() accepts one vector or a matrix of columns."""
+        """Banded Cholesky handle; solve() accepts one vector or a matrix of columns.
+
+        The matrix is checked for finite entries once, here; each solve is one
+        LAPACK dpbtrs call on the stored factor with no per-call scan, so a
+        non-finite right-hand side comes back as a non-finite solution.
+        """
         cb = cholesky_banded(self.ab, lower=False)
+        n = self.n
 
         def solve(b):
-            return cho_solve_banded((cb, False), b)
+            b = np.asarray(b, dtype=float)
+            if b.shape[:1] != (n,):
+                raise ValueError(f"right-hand side has {b.shape[:1]} rows, expected {n}")
+            x, info = dpbtrs(cb, b)  # upper factor, the default
+            if info != 0:
+                raise ValueError(f"dpbtrs rejected argument {-info}")
+            return x
 
         return solve
 

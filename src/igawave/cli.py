@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 invalid usage or parameters, 3 numerical failure,
 
 import argparse
 import configparser
+import math
 import sys
 
 from . import experiments as ex
@@ -30,6 +31,13 @@ def _csv_ints(text):
     return values
 
 
+def _csv_positive_ints(text):
+    values = _csv_ints(text)
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"every count must be at least 1, got {text!r}")
+    return values
+
+
 def _unit_interval(text):
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -41,6 +49,13 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _positive_float(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
 
 
@@ -69,14 +84,15 @@ def _add_scheme(sub):
 
 
 def _add_time(sub):
-    sub.add_argument("--final-time", type=float, default=1.0, dest="final_time")
-    sub.add_argument("--steps", type=_csv_ints, default=None,
+    sub.add_argument("--final-time", type=_positive_float, default=1.0, dest="final_time")
+    sub.add_argument("--steps", type=_csv_positive_ints, default=None,
                      help="step counts; a list in time-refinement mode")
 
 
 def _add_workers(sub):
     sub.add_argument("--workers", type=_positive_int, default=4,
-                     help="threads over table cells (at least 1)")
+                     help="parallel workers (at least 1): processes for convergence, "
+                          "threads for spectrum/stability-region")
 
 
 def build_parser():
@@ -112,7 +128,7 @@ def build_parser():
     _add_scheme(so)
     _add_time(so)
     so.add_argument("--init", choices=("project", "greville"), default="project")
-    so.add_argument("--stride", type=int, default=None,
+    so.add_argument("--stride", type=_positive_int, default=None,
                     help="steps between error samples (default steps/200)")
     sub_map["solve"] = so
 

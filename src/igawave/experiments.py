@@ -1,8 +1,9 @@
 """Experiment drivers: spectral tables, convergence studies, stability maps.
 
 Everything here is deterministic by construction: table cells run in a
-thread pool but are collected in sorted order, seeds are fixed, and CSV
-output formats floats with full precision so repeated runs produce
+pool (threads for the eigenvalue tables, forked processes for the
+time-stepping studies) but are collected in sorted order, seeds are fixed,
+and CSV output formats floats with full precision so repeated runs produce
 identical bytes.
 """
 
@@ -90,6 +91,41 @@ def _pool_map(fn, items, workers):
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
+
+
+# The cell function of the process pool, set in each worker by _set_cell.
+_CELL = None
+
+
+def _set_cell(fn):
+    global _CELL
+    _CELL = fn
+
+
+def _run_cell(item):
+    return _CELL(item)
+
+
+def _process_map(fn, items, workers):
+    """_pool_map over forked worker processes, for cells that hold the GIL.
+
+    Time-stepping cells spend most of their time in small numpy calls that
+    keep the GIL, so threads serialize them; processes do not.  fn reaches
+    the workers through the pool initializer and is inherited by the fork,
+    never pickled, so closures work; items and results are pickled.  Where
+    fork is unavailable this is the thread map.  Not spawn: a spawned
+    worker imports numpy and scipy afresh, about 0.65 s on 2 cores, which
+    is longer than a whole default 2D study.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return _pool_map(fn, items, workers)
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return _pool_map(fn, items, workers)
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(min(workers, len(items)), initializer=_set_cell, initargs=(fn,)) as pool:
+        return pool.map(_run_cell, items, chunksize=1)
 
 
 def spectrum_table(
@@ -237,7 +273,7 @@ def convergence_space(
             l2, h1 = _mms_run_2d(p, N, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
         return {"p": p, "N": N, "h": 1.0 / N, "l2": l2, "h1": h1}
 
-    rows = _pool_map(one, cells, workers)
+    rows = _process_map(one, cells, workers)
     for p in sorted(set(c[0] for c in cells)):
         sub = [r for r in rows if r["p"] == p]
         hs = np.array([r["h"] for r in sub])
@@ -271,7 +307,7 @@ def convergence_time(
         l2, _ = _mms_run_1d(p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
         return {"p": p, "N": N, "steps": n_steps, "tau": T / n_steps, "l2": l2}
 
-    rows = _pool_map(one, steps_list, workers)
+    rows = _process_map(one, steps_list, workers)
     taus = np.array([r["tau"] for r in rows])
     errs = np.array([r["l2"] for r in rows])
     rates = observed_rates(errs, taus)

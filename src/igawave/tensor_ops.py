@@ -15,6 +15,20 @@ import numpy as np
 __all__ = ["KroneckerOperator", "build_tensor_operators", "kron_mass_factor"]
 
 
+def _along_axis(op, X, axis):
+    """Apply op, a map on (n, m) column blocks, along one axis of X.
+
+    The axis goes first, the others keep their order and flatten into the
+    columns, and the result is transposed back: the layout and the matrix
+    product that np.tensordot(f, X, axes=(1, axis)) uses, without its
+    bookkeeping.
+    """
+    order = (axis,) + tuple(k for k in range(X.ndim) if k != axis)
+    moved = X.transpose(order)
+    Y = op(moved.reshape(X.shape[axis], -1)).reshape(moved.shape)
+    return Y.transpose(np.argsort(order))
+
+
 class KroneckerOperator:
     """Sum of Kronecker products of per-axis symmetric factors."""
 
@@ -40,9 +54,7 @@ class KroneckerOperator:
         for term in self.terms:
             Y = X
             for axis, f in enumerate(term):
-                Y = np.moveaxis(
-                    np.tensordot(f.to_dense(), Y, axes=(1, axis)), 0, axis
-                )
+                Y = _along_axis(lambda Z: f.to_dense() @ Z, Y, axis)
             out += Y
         return out.reshape(-1)
 
@@ -98,9 +110,7 @@ def kron_mass_factor(mass):
     def solve(b):
         X = np.asarray(b, dtype=float).reshape(dims)
         for axis, sv in enumerate(solvers):
-            moved = np.moveaxis(X, axis, 0)
-            flat = sv(moved.reshape(moved.shape[0], -1))
-            X = np.moveaxis(flat.reshape(moved.shape), 0, axis)
+            X = _along_axis(sv, X, axis)
         return X.reshape(-1)
 
     return solve

@@ -271,3 +271,20 @@ def test_spectrum_beyond_the_dense_limit(tmp_path):
     assert rc == 0
     _, rows = read_csv(out)
     assert float(rows[0]["lambda_tilde"]) / (N * math.pi) ** 2 == pytest.approx(1.0, abs=0.01)
+
+
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(["solve", "--steps", "0"], "--steps", id="solve-steps-0"),
+    pytest.param(["convergence", "--mode", "time", "--steps", "0,10"], "--steps",
+                 id="time-mode-steps-0,10"),
+    pytest.param(["solve", "--stride", "0"], "--stride", id="stride-0"),
+    pytest.param(["solve", "--stride", "-2"], "--stride", id="stride-minus-2"),
+    pytest.param(["solve", "--final-time", "-1"], "--final-time", id="final-time-minus-1"),
+    pytest.param(["solve", "--final-time", "nan"], "--final-time", id="final-time-nan"),
+])
+def test_out_of_range_count_or_time_exits_2_naming_the_option(tmp_path, capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

@@ -1,0 +1,42 @@
+"""Study drivers: rows from the forked process pool equal the serial rows."""
+
+import multiprocessing
+import os
+
+import pytest
+
+from igawave import experiments as ex
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+
+
+@needs_fork
+def test_process_map_runs_closures_in_forked_workers():
+    offset = 10  # a closure cannot be pickled; the workers inherit it
+
+    def cell(item):
+        return item + offset, os.getpid()
+
+    out = ex._process_map(cell, [1, 2, 3, 4], 2)
+    assert [v for v, _ in out] == [11, 12, 13, 14]
+    assert os.getpid() not in {pid for _, pid in out}
+
+
+@pytest.mark.parametrize("dim, elements, n_steps", [(1, [4, 8], 40), (2, [4, 6], 10)])
+def test_space_study_rows_match_serial(dim, elements, n_steps):
+    kwargs = dict(dim=dim, T=0.05, n_steps=n_steps)
+    serial = ex.convergence_space([3, 4], elements, workers=1, **kwargs)
+    assert ex.convergence_space([3, 4], elements, workers=2, **kwargs) == serial
+
+
+def test_time_study_rows_match_serial():
+    kwargs = dict(p=3, N=8, T=0.2, kappa="exp")
+    serial = ex.convergence_time([20, 40, 80], workers=1, **kwargs)
+    assert ex.convergence_time([20, 40, 80], workers=3, **kwargs) == serial
+
+
+def test_blow_up_in_a_worker_reaches_the_caller():
+    with pytest.raises(ex.BlowupDetected, match="blew up"):
+        ex.convergence_space([3], [4, 8], T=20.0, n_steps=20, workers=2)

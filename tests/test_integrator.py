@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from igawave.integrator import (
+    DynamicState,
     amplification_matrix,
     critical_dt,
     critical_omega,
@@ -201,3 +202,98 @@ def test_integrate_validation():
         integrate(s0, solve_M, apply_K, zero_load, 0.1, 0, params_from_rho(0.5))
     with pytest.raises(ValueError):
         amplification_matrix(-0.1, params_from_rho(0.5))
+
+
+def banded_problem(p, dim, penalized, N=5):
+    """Mass solve, stiffness apply, a time-dependent load and a random start
+    on real spline operators, 1D or 2D, with a step at half the critical one."""
+    from igawave.eigen import top_eigenvalue
+    from igawave.experiments import build_1d
+    from igawave.tensor_ops import build_tensor_operators, kron_mass_factor
+
+    d = build_1d(p, N)
+    M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
+    if dim == 1:
+        solve_M, apply_K = M.factor(), K.matvec
+    else:
+        mass, stiff = build_tensor_operators([(M, K)] * dim)
+        solve_M, apply_K = kron_mass_factor(mass), stiff.matvec
+    n = M.n**dim
+    rng = np.random.default_rng(p + 10 * dim)
+    f = rng.standard_normal(n)
+    tau = 0.5 * critical_omega(params_from_rho(1.0)) / np.sqrt(dim * top_eigenvalue(K, M))
+    return solve_M, apply_K, (lambda t: np.cos(3.0 * t) * f), rng.standard_normal((2, n)), tau
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("penalized", [False, True])
+@pytest.mark.parametrize("p", range(1, 8))
+def test_integrate_equals_repeated_step(p, penalized, rho, dim):
+    """The in-place loop reproduces repeated step calls bit for bit."""
+    solve_M, apply_K, load, (u0, v0), tau = banded_problem(p, dim, penalized)
+    params = params_from_rho(rho)
+    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+    seen = []
+    res = integrate(s0, solve_M, apply_K, load, tau, 12, params,
+                    callback=lambda i, st: seen.append(st))
+    ref = s0
+    for st in seen:
+        ref = step(ref, solve_M, apply_K, load, tau, params)
+        assert st.t == ref.t
+        for name in ("u", "v", "a"):
+            np.testing.assert_array_equal(getattr(st, name), getattr(ref, name))
+    assert len(seen) == res.steps_completed == 12
+    np.testing.assert_array_equal(res.final.u, ref.u)
+    assert res.max_abs_u == max(np.abs(s.u).max() for s in [s0] + seen)
+
+
+def test_integrate_leaves_initial_state_alone():
+    solve_M, apply_K, load, (u0, v0), tau = banded_problem(4, 1, True)
+    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+    before = [x.copy() for x in (s0.u, s0.v, s0.a)]
+    res = integrate(s0, solve_M, apply_K, load, tau, 20, params_from_rho(0.5))
+    for x, y in zip((s0.u, s0.v, s0.a), before):
+        np.testing.assert_array_equal(x, y)
+    assert s0.t == 0.0
+    assert not np.shares_memory(res.final.u, s0.u)
+
+
+def test_callback_states_are_independent_snapshots():
+    solve_M, apply_K, load, (u0, v0), tau = banded_problem(3, 2, True)
+    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+    kept, copies = [], []
+
+    def keep(i, st):
+        kept.append(st)
+        copies.append((st.u.copy(), st.v.copy(), st.a.copy()))
+
+    integrate(s0, solve_M, apply_K, load, tau, 6, params_from_rho(1.0), callback=keep)
+    for st, (u, v, a) in zip(kept, copies):
+        for x, y in zip((st.u, st.v, st.a), (u, v, a)):
+            np.testing.assert_array_equal(x, y)
+    assert not np.array_equal(kept[0].u, kept[-1].u)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_nan_load_ends_run_as_blow_up(dim):
+    solve_M, apply_K, load, (u0, v0), tau = banded_problem(3, dim, True)
+    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+
+    def nan_later(t):
+        return load(t) * (np.nan if t > 2.5 * tau else 1.0)
+
+    res = integrate(s0, solve_M, apply_K, nan_later, tau, 50, params_from_rho(1.0))
+    assert res.blew_up
+    assert res.steps_completed == 4
+    assert np.isnan(res.max_abs_u)
+
+
+def test_non_finite_initial_state_rejected():
+    solve_M, apply_K = scalar_ops(1.0)
+    for bad in ("u", "v", "a"):
+        fields = {"u": np.ones(1), "v": np.zeros(1), "a": np.zeros(1)}
+        fields[bad] = np.array([np.inf if bad == "a" else np.nan])
+        s0 = DynamicState(t=0.0, **fields)
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            integrate(s0, solve_M, apply_K, zero_load, 0.1, 3, params_from_rho(1.0))

@@ -115,3 +115,36 @@ def test_validation():
     mass, _ = build_tensor_operators([(M1, K1), (M1, K1)])
     with pytest.raises(ValueError):
         mass.matvec(np.zeros(5))
+
+
+def tensordot_apply(op, x):
+    """The per-axis sweep written with np.tensordot and np.moveaxis."""
+    X = x.reshape(op.dims)
+    out = np.zeros_like(X)
+    for term in op.terms:
+        Y = X
+        for axis, f in enumerate(term):
+            Y = np.moveaxis(np.tensordot(f.to_dense(), Y, axes=(1, axis)), 0, axis)
+        out += Y
+    return out.reshape(-1)
+
+
+def moveaxis_solve(mass, b):
+    X = b.reshape(mass.dims)
+    for axis, f in enumerate(mass.terms[0]):
+        moved = np.moveaxis(X, axis, 0)
+        flat = f.factor()(moved.reshape(moved.shape[0], -1))
+        X = np.moveaxis(flat.reshape(moved.shape), 0, axis)
+    return X.reshape(-1)
+
+
+@pytest.mark.parametrize("d, N", [(2, 4), (2, 9), (3, 3)])
+@pytest.mark.parametrize("p", range(1, 8))
+def test_apply_and_solve_match_the_tensordot_route_exactly(p, N, d):
+    Mx, Kx = axis_pair(p, N)
+    My, Ky = axis_pair(p, N + 1)
+    mass, stiff = build_tensor_operators([(Mx, Kx), (My, Ky), (Mx, Kx)][:d])
+    x = np.random.default_rng(p).standard_normal(mass.total_dim)
+    np.testing.assert_array_equal(mass.matvec(x), tensordot_apply(mass, x))
+    np.testing.assert_array_equal(stiff.matvec(x), tensordot_apply(stiff, x))
+    np.testing.assert_array_equal(kron_mass_factor(mass)(x), moveaxis_solve(mass, x))
