@@ -1,10 +1,13 @@
 """Time integrator: parameter family, scalar-equation equivalence with the
-amplification matrix, spectral radius, critical step constants, blow-up.
+amplification matrix, spectral radius, critical step constants, blow-up,
+and the in-place loop against repeated single steps.
 """
 
 import numpy as np
 import pytest
 
+from igawave.eigen import top_eigenvalue
+from igawave.experiments import build_1d
 from igawave.integrator import (
     DynamicState,
     amplification_matrix,
@@ -16,6 +19,7 @@ from igawave.integrator import (
     spectral_radius,
     step,
 )
+from igawave.tensor_ops import build_tensor_operators, kron_mass_factor
 
 EYE1 = np.array([[1.0]])
 
@@ -207,10 +211,6 @@ def test_integrate_validation():
 def banded_problem(p, dim, penalized, N=5):
     """Mass solve, stiffness apply, a time-dependent load and a random start
     on real spline operators, 1D or 2D, with a step at half the critical one."""
-    from igawave.eigen import top_eigenvalue
-    from igawave.experiments import build_1d
-    from igawave.tensor_ops import build_tensor_operators, kron_mass_factor
-
     d = build_1d(p, N)
     M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
     if dim == 1:
