@@ -14,6 +14,7 @@ import pytest
 from igawave.eigen import top_eigenvalue
 from igawave.experiments import build_1d, spectrum_table
 from igawave.integrator import critical_omega, initial_state, integrate, params_from_rho
+from igawave.mms_errors import case_2d, l2_error, l2_error_2d
 from igawave.quadrature import gauss_legendre, map_to_element
 from igawave.spline_basis import eval_basis_many, open_uniform_knots
 from igawave.tensor_ops import build_tensor_operators, kron_mass_factor
@@ -95,3 +96,17 @@ def test_kron_stiffness_apply_2d_n64(benchmark, kron_p5_n64):
 def test_kron_mass_solve_2d_n64(benchmark, kron_p5_n64):
     mass, _, x = kron_p5_n64
     assert benchmark(kron_mass_factor(mass), x).shape == x.shape
+
+
+def test_l2_error_p5_n40(benchmark):
+    kv = open_uniform_knots(5, 40)
+    c = np.random.default_rng(0).standard_normal(kv.interior_dim)
+    assert benchmark(l2_error, kv, c, np.sin, gauss_legendre(8)) > 0.0
+
+
+def test_l2_error_2d_p5_n64(benchmark):
+    kv = open_uniform_knots(5, 64)
+    c = np.random.default_rng(0).standard_normal(kv.interior_dim**2)
+    case = case_2d()
+    exact = lambda x, y: case.u(x, y, 1.0)
+    assert benchmark(l2_error_2d, kv, kv, c, exact, gauss_legendre(8)) > 0.0

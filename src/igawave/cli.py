@@ -92,7 +92,7 @@ def _add_time(sub):
 def _add_workers(sub):
     sub.add_argument("--workers", type=_positive_int, default=4,
                      help="parallel workers (at least 1): processes for convergence, "
-                          "threads for spectrum/stability-region")
+                          "threads for spectrum")
 
 
 def build_parser():
@@ -120,7 +120,6 @@ def build_parser():
 
     st = subs.add_parser("stability-region", help="critical steps over a rho grid")
     _add_common(st)
-    _add_workers(st)
     sub_map["stability-region"] = st
 
     so = subs.add_parser("solve", help="single manufactured-solution run")
@@ -296,7 +295,6 @@ def _run_stability(parser, args):
         variant=VARIANT_MAP[args.variant],
         eta_a=args.eta_a,
         eta_b=args.eta_b,
-        workers=args.workers,
     )
     header = ["rho", "tau_c", "tau_c_tilde"]
     ex.write_csv(args.out, header, rows)

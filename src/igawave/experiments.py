@@ -7,6 +7,7 @@ and CSV output formats floats with full precision so repeated runs produce
 identical bytes.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -66,12 +67,10 @@ class Discretization1D:
     """Knot vector plus standard and penalized operator pairs."""
 
     kv: object
-    rule: object
     M: object = field(repr=False)
     K: object = field(repr=False)
     Mt: object = field(repr=False)
     Kt: object = field(repr=False)
-    penalties: object = field(repr=False)
 
 
 def build_1d(p, N, kappa="one", variant="endpoint", eta_a=1.0, eta_b=1.0):
@@ -83,7 +82,7 @@ def build_1d(p, N, kappa="one", variant="endpoint", eta_a=1.0, eta_b=1.0):
     K = assemble_stiffness(kv, rule, coeff)
     pen = build_penalties(kv, variant=variant, rule=rule, eta_a=eta_a, eta_b=eta_b)
     Mt, Kt = penalized_forms(M, K, pen, kv.h)
-    return Discretization1D(kv=kv, rule=rule, M=M, K=K, Mt=Mt, Kt=Kt, penalties=pen)
+    return Discretization1D(kv=kv, M=M, K=K, Mt=Mt, Kt=Kt)
 
 
 def _pool_map(fn, items, workers):
@@ -176,69 +175,75 @@ def spectrum_table(
     return _pool_map(one, cells, workers)
 
 
-def _mms_run_1d(p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init):
-    case = case_1d(kappa)
+def _check_run(dim, kappa, T, steps, name="n_steps"):
+    """Reject what no manufactured-solution run can take, before any work."""
+    if dim not in (1, 2):
+        raise ValueError(f"manufactured-solution runs are 1D or 2D, got dim={dim!r}")
+    if kappa != "one" and dim != 1:
+        raise ValueError("variable coefficient runs are 1D only")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
+    if min(steps) < 1:
+        raise ValueError(f"{name} must be at least 1, got {steps!r}")
+
+
+def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
+    """The manufactured problem on a p, N mesh in one or two dimensions.
+
+    Returns (solve_M, apply_K, load, state0, l2, h1): load(t) is the load
+    vector at time t, and l2(u, t) and h1(u, t) are the errors of the
+    coefficients u against the exact solution at time t.
+    """
     d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     kv = d.kv
-    err_rule = gauss_legendre(p + 3)
-    Msys, Ksys = (d.Mt, d.Kt) if penalized else (d.M, d.K)
-    solve = Msys.factor()
-    f_load = assemble_load(kv, err_rule, case.f_space)
-    u0 = initial_coefficients(kv, err_rule, lambda x: case.u(x, 0.0), init)
-    v0 = initial_coefficients(kv, err_rule, lambda x: case.u_t(x, 0.0), init)
-    state0 = initial_state(solve, Ksys.matvec, f_load * case.f_time(0.0), u0, v0)
-    tau = T / n_steps
-    res = integrate(
-        state0,
-        solve,
-        Ksys.matvec,
-        lambda t: f_load * case.f_time(t),
-        tau,
-        n_steps,
-        params_from_rho(rho),
-    )
-    if res.blew_up:
-        raise BlowupDetected(f"1D run p={p} N={N} blew up at step {res.steps_completed}")
-    l2 = l2_error(kv, res.final.u, lambda x: case.u(x, T), err_rule)
-    h1 = h1_seminorm_error(kv, res.final.u, lambda x: case.u_x(x, T), err_rule)
-    return l2, h1
+    rule = gauss_legendre(p + 3)
+    M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
+    if dim == 1:
+        case = case_1d(kappa)
+        solve, apply_K = M.factor(), K.matvec
+        f_load = assemble_load(kv, rule, case.f_space)
+        u0 = initial_coefficients(kv, rule, lambda x: case.u(x, 0.0), init)
+        v0 = initial_coefficients(kv, rule, lambda x: case.u_t(x, 0.0), init)
+
+        def l2(u, t):
+            return l2_error(kv, u, lambda x: case.u(x, t), rule)
+
+        def h1(u, t):
+            return h1_seminorm_error(kv, u, lambda x: case.u_x(x, t), rule)
+
+    else:
+        case = case_2d()
+        mass, stiff = build_tensor_operators([(M, K), (M, K)])
+        solve, apply_K = kron_mass_factor(mass), stiff.matvec
+        s_load = assemble_load(kv, rule, case.profile)
+        f_load = case.f_const * np.outer(s_load, s_load).ravel()
+        u1 = initial_coefficients(kv, rule, case.profile, init)
+        u0 = np.outer(u1, u1).ravel()
+        v0 = u0.copy()
+
+        def l2(u, t):
+            return l2_error_2d(kv, kv, u, lambda x, y: case.u(x, y, t), rule)
+
+        def h1(u, t):
+            return h1_seminorm_error_2d(
+                kv, kv, u, lambda x, y: case.u_x(x, y, t), lambda x, y: case.u_y(x, y, t), rule
+            )
+
+    def load(t):
+        return f_load * case.f_time(t)
+
+    state0 = initial_state(solve, apply_K, load(0.0), u0, v0)
+    return solve, apply_K, load, state0, l2, h1
 
 
-def _mms_run_2d(p, N, rho, T, n_steps, penalized, variant, eta_a, eta_b, init):
-    case = case_2d()
-    d = build_1d(p, N, "one", variant, eta_a, eta_b)
-    kv = d.kv
-    err_rule = gauss_legendre(p + 3)
-    pair = (d.Mt, d.Kt) if penalized else (d.M, d.K)
-    mass, stiff = build_tensor_operators([pair, pair])
-    solve = kron_mass_factor(mass)
-    s_load = assemble_load(kv, err_rule, case.profile)
-    f_load = case.f_const * np.outer(s_load, s_load).ravel()
-    u1 = initial_coefficients(kv, err_rule, case.profile, init)
-    u0 = np.outer(u1, u1).ravel()
-    state0 = initial_state(solve, stiff.matvec, f_load * case.f_time(0.0), u0, u0.copy())
-    tau = T / n_steps
-    res = integrate(
-        state0,
-        solve,
-        stiff.matvec,
-        lambda t: f_load * case.f_time(t),
-        tau,
-        n_steps,
-        params_from_rho(rho),
+def _mms_run(dim, p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init):
+    solve, apply_K, load, state0, l2, h1 = _setup(
+        dim, p, N, kappa, penalized, variant, eta_a, eta_b, init
     )
+    res = integrate(state0, solve, apply_K, load, T / n_steps, n_steps, params_from_rho(rho))
     if res.blew_up:
-        raise BlowupDetected(f"2D run p={p} N={N} blew up at step {res.steps_completed}")
-    l2 = l2_error_2d(kv, kv, res.final.u, lambda x, y: case.u(x, y, T), err_rule)
-    h1 = h1_seminorm_error_2d(
-        kv,
-        kv,
-        res.final.u,
-        lambda x, y: case.u_x(x, y, T),
-        lambda x, y: case.u_y(x, y, T),
-        err_rule,
-    )
-    return l2, h1
+        raise BlowupDetected(f"{dim}D run p={p} N={N} blew up at step {res.steps_completed}")
+    return l2(res.final.u, T), h1(res.final.u, T)
 
 
 def convergence_space(
@@ -257,20 +262,12 @@ def convergence_space(
     workers=4,
 ):
     """Mesh-refinement study rows with pairwise observed rates per degree."""
-    if dim not in (1, 2):
-        raise ValueError("convergence studies run in 1D or 2D")
-    if kappa != "one" and dim != 1:
-        raise ValueError("variable coefficient runs are 1D only")
+    _check_run(dim, kappa, T, [n_steps])
     cells = sorted((p, N) for p in degrees for N in elements)
 
     def one(cell):
         p, N = cell
-        if dim == 1:
-            l2, h1 = _mms_run_1d(
-                p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init
-            )
-        else:
-            l2, h1 = _mms_run_2d(p, N, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
+        l2, h1 = _mms_run(dim, p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
         return {"p": p, "N": N, "h": 1.0 / N, "l2": l2, "h1": h1}
 
     rows = _process_map(one, cells, workers)
@@ -302,9 +299,10 @@ def convergence_time(
 ):
     """Step-refinement study at a fixed fine mesh; rates are in tau."""
     steps_list = sorted(int(s) for s in steps_list)
+    _check_run(1, kappa, T, steps_list, "steps_list")
 
     def one(n_steps):
-        l2, _ = _mms_run_1d(p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
+        l2, _ = _mms_run(1, p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
         return {"p": p, "N": N, "steps": n_steps, "tau": T / n_steps, "l2": l2}
 
     rows = _process_map(one, steps_list, workers)
@@ -325,7 +323,6 @@ def stability_region(
     eta_a=1.0,
     eta_b=1.0,
     rho_values=None,
-    workers=4,
 ):
     """Critical steps of both discretizations over a rho grid."""
     if rho_values is None:
@@ -342,7 +339,8 @@ def stability_region(
             "tau_c_tilde": c / np.sqrt(lam_t),
         }
 
-    return _pool_map(one, list(rho_values), workers)
+    # Serial: critical_omega holds the GIL, so threads would only add cost.
+    return [one(rho) for rho in rho_values]
 
 
 def solve_mms(
@@ -365,59 +363,22 @@ def solve_mms(
     Returns (rows, blew_up); rows hold (step, t, l2_error) every `stride`
     steps, including step 0 and the stopping step.
     """
-    if dim not in (1, 2):
-        raise ValueError("solve runs in 1D or 2D")
-    if kappa != "one" and dim != 1:
-        raise ValueError("variable coefficient runs are 1D only")
+    _check_run(dim, kappa, T, [n_steps])
     if stride is None:
         stride = max(1, n_steps // 200)
-    err_rule = gauss_legendre(p + 3)
-    d = build_1d(p, N, kappa, variant, eta_a, eta_b)
-    kv = d.kv
-    if dim == 1:
-        case = case_1d(kappa)
-        Msys, Ksys = (d.Mt, d.Kt) if penalized else (d.M, d.K)
-        solve = Msys.factor()
-        apply_K = Ksys.matvec
-        f_load = assemble_load(kv, err_rule, case.f_space)
-        u0 = initial_coefficients(kv, err_rule, lambda x: case.u(x, 0.0), init)
-        v0 = initial_coefficients(kv, err_rule, lambda x: case.u_t(x, 0.0), init)
-
-        def err(state):
-            return l2_error(kv, state.u, lambda x: case.u(x, state.t), err_rule)
-
-    else:
-        case = case_2d()
-        pair = (d.Mt, d.Kt) if penalized else (d.M, d.K)
-        mass, stiff = build_tensor_operators([pair, pair])
-        solve = kron_mass_factor(mass)
-        apply_K = stiff.matvec
-        s_load = assemble_load(kv, err_rule, case.profile)
-        f_load = case.f_const * np.outer(s_load, s_load).ravel()
-        u1 = initial_coefficients(kv, err_rule, case.profile, init)
-        u0 = np.outer(u1, u1).ravel()
-        v0 = u0.copy()
-
-        def err(state):
-            return l2_error_2d(kv, kv, state.u, lambda x, y: case.u(x, y, state.t), err_rule)
-
-    state0 = initial_state(solve, apply_K, f_load * case.f_time(0.0), u0, v0)
-    tau = T / n_steps
-    rows = [{"step": 0, "t": 0.0, "l2_error": err(state0)}]
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride!r}")
+    solve, apply_K, load, state0, l2, _ = _setup(
+        dim, p, N, kappa, penalized, variant, eta_a, eta_b, init
+    )
+    rows = [{"step": 0, "t": 0.0, "l2_error": l2(state0.u, state0.t)}]
 
     def observe(i, state):
         if i % stride == 0 or i == n_steps:
-            rows.append({"step": i, "t": state.t, "l2_error": err(state)})
+            rows.append({"step": i, "t": state.t, "l2_error": l2(state.u, state.t)})
 
     res = integrate(
-        state0,
-        solve,
-        apply_K,
-        lambda t: f_load * case.f_time(t),
-        tau,
-        n_steps,
-        params_from_rho(rho),
-        callback=observe,
+        state0, solve, apply_K, load, T / n_steps, n_steps, params_from_rho(rho), callback=observe
     )
     if res.blew_up:
         rows.append(

@@ -42,7 +42,6 @@ class KroneckerOperator:
                 raise ValueError("inconsistent axis dimensions across terms")
         self.terms = terms
         self.dims = dims
-        self.ndim_axes = len(dims)
         self.total_dim = int(np.prod(dims))
 
     def matvec(self, x):

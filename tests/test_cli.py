@@ -255,6 +255,7 @@ def test_space_mode_needs_two_element_counts(tmp_path, capsys):
     ["solve", "--workers", "2"],
     ["spectrum", "--workers", "0"],
     ["convergence", "--workers", "-3"],
+    ["stability-region", "--workers", "2"],
 ])
 def test_option_the_subcommand_does_not_read_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
-"""Study drivers: rows from the forked process pool equal the serial rows."""
+"""Study drivers: rows from the forked process pool equal the serial rows,
+and the library entry points reject counts and times no run can take."""
 
 import multiprocessing
 import os
@@ -40,3 +41,15 @@ def test_time_study_rows_match_serial():
 def test_blow_up_in_a_worker_reaches_the_caller():
     with pytest.raises(ex.BlowupDetected, match="blew up"):
         ex.convergence_space([3], [4, 8], T=20.0, n_steps=20, workers=2)
+
+
+@pytest.mark.parametrize("study, kwargs, argument", [
+    ("solve_mms", {"stride": 0}, "stride"),
+    ("solve_mms", {"n_steps": 0}, "n_steps"),
+    ("convergence_time", {"steps_list": [0, 10]}, "steps_list"),
+    ("solve_mms", {"T": -1.0}, "T"),
+    ("solve_mms", {"T": float("nan")}, "T"),
+])
+def test_run_arguments_checked_before_any_work(study, kwargs, argument):
+    with pytest.raises(ValueError, match=rf"^{argument} must"):
+        getattr(ex, study)(**kwargs)

@@ -1,12 +1,19 @@
 """Manufactured cases (forcing consistency, traces), projection starts, and
-the error-norm routines checked against quadratic-form oracles.
+the error-norm routines checked against quadratic-form oracles and against
+plain loops over elements.
 """
 
 import numpy as np
 import pytest
 
-from igawave.assembly_1d import assemble_mass, assemble_stiffness, kappa_variant
+from igawave.assembly_1d import (
+    assemble_mass,
+    assemble_stiffness,
+    element_tables,
+    kappa_variant,
+)
 from igawave.mms_errors import (
+    _tensor_error,
     case_1d,
     case_2d,
     h1_seminorm_error,
@@ -133,6 +140,63 @@ def test_error_norms_match_kronecker_forms_2d():
     assert l2 == pytest.approx(np.sqrt(c @ np.kron(Mx, My) @ c), rel=1e-12)
     G = np.kron(Kx, My) + np.kron(Mx, Ky)
     assert h1 == pytest.approx(np.sqrt(c @ G @ c), rel=1e-12)
+
+
+def _loop_error_1d(kv, coeffs, exact, rule, deriv):
+    # Reference: one basis-table product and one weighted dot per element.
+    full = np.zeros(kv.dim)
+    full[1:-1] = coeffs
+    total = 0.0
+    for x, w, lo, v in zip(*element_tables(kv, rule, deriv)):
+        uh = v[:, deriv, :] @ full[lo : lo + kv.p + 1]
+        total += float(w @ (uh - exact(x)) ** 2)
+    return np.sqrt(total)
+
+
+def _loop_error_2d(kvx, kvy, coeffs, exact, rule, dx, dy):
+    # Reference: a full product of the two tables for every element pair.
+    C = np.zeros((kvx.dim, kvy.dim))
+    C[1:-1, 1:-1] = np.asarray(coeffs).reshape(kvx.interior_dim, kvy.interior_dim)
+    ty = list(zip(*element_tables(kvy, rule, dy)))
+    total = 0.0
+    for x, wx, lox, vx in zip(*element_tables(kvx, rule, dx)):
+        for y, wy, loy, vy in ty:
+            block = C[lox : lox + kvx.p + 1, loy : loy + kvy.p + 1]
+            uh = np.einsum("qa,rb,ab->qr", vx[:, dx, :], vy[:, dy, :], block)
+            diff = uh - exact(x[:, None], y[None, :])
+            total += float(np.einsum("q,r,qr->", wx, wy, diff**2))
+    return total
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+@pytest.mark.parametrize("kappa", ["one", "exp"])
+def test_error_norms_1d_equal_the_element_loop_bit_for_bit(p, kappa):
+    """The 1D CLI outputs are pinned to the loop's reduction order, so the
+    norms must be equal, not close."""
+    case = case_1d(kappa)
+    rule = gauss_legendre(p + 3)
+    rng = np.random.default_rng(100 + p)
+    flux = lambda x: case.kappa(x) * case.u_x(x, 0.3)
+    for N in (2, 3, 7, 40):
+        kv = open_uniform_knots(p, N)
+        c = rng.standard_normal(kv.interior_dim)
+        assert l2_error(kv, c, case.f_space, rule) == _loop_error_1d(kv, c, case.f_space, rule, 0)
+        assert h1_seminorm_error(kv, c, flux, rule) == _loop_error_1d(kv, c, flux, rule, 1)
+
+
+@pytest.mark.parametrize("dx, dy", [(0, 0), (1, 0), (0, 1)])
+def test_error_2d_matches_the_element_pair_loop(dx, dy):
+    """Different degrees and element counts per axis pin the axis order."""
+    case = case_2d()
+    exact = {(0, 0): case.u, (1, 0): case.u_x, (0, 1): case.u_y}[dx, dy]
+    target = lambda x, y: exact(x, y, 0.4)
+    rng = np.random.default_rng(79)
+    for (px, Nx), (py, Ny) in [((2, 5), (4, 3)), ((5, 9), (3, 12))]:
+        kvx, kvy = open_uniform_knots(px, Nx), open_uniform_knots(py, Ny)
+        rule = gauss_legendre(max(px, py) + 3)
+        c = rng.standard_normal(kvx.interior_dim * kvy.interior_dim)
+        got = _tensor_error([kvx, kvy], c, target, rule, (dx, dy))
+        assert got == pytest.approx(_loop_error_2d(kvx, kvy, c, target, rule, dx, dy), rel=1e-12)
 
 
 def test_projection_reproduces_functions_in_the_space():
