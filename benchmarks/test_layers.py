@@ -11,6 +11,7 @@ Add --benchmark-json=FILE to keep the numbers.
 import numpy as np
 import pytest
 
+from igawave.cli import main
 from igawave.eigen import top_eigenvalue
 from igawave.experiments import build_1d, spectrum_table
 from igawave.integrator import critical_omega, initial_state, integrate, params_from_rho
@@ -64,6 +65,10 @@ def test_mass_solve_n1003(benchmark, penalized_n1003):
     assert benchmark(M.factor(), x).shape == x.shape
 
 
+def test_critical_omega_rho_half(benchmark):
+    assert benchmark(critical_omega, params_from_rho(0.5)) == pytest.approx(np.sqrt(108 / 31))
+
+
 STEPS = 1000
 
 
@@ -110,3 +115,19 @@ def test_l2_error_2d_p5_n64(benchmark):
     case = case_2d()
     exact = lambda x, y: case.u(x, y, 1.0)
     assert benchmark(l2_error_2d, kv, kv, c, exact, gauss_legendre(8)) > 0.0
+
+
+# One run of each subcommand at its defaults through main(), in process (no
+# interpreter start).  1D convergence at its defaults (about 3.4 s a run) is
+# left out.
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum"], id="spectrum"),
+    pytest.param(["stability-region"], id="stability-region"),
+    pytest.param(["solve"], id="solve"),
+    pytest.param(["convergence", "--dim", "2"], id="convergence-2d"),
+    pytest.param(["convergence", "--mode", "time"], id="convergence-time"),
+])
+def test_cli_defaults(benchmark, tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert benchmark.pedantic(main, args=(argv + ["--out", str(out)],),
+                              rounds=3, iterations=1) == 0

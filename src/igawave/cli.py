@@ -20,6 +20,12 @@ from . import experiments as ex
 
 VARIANT_MAP = {"boundary-point": "endpoint", "integral": "integral"}
 
+# The column subsets of spectrum's --penalty off/on; --penalty both writes every column.
+SPECTRUM_COLUMNS = {
+    "off": ["p", "N", "lambda", "tau_c"],
+    "on": ["p", "N", "lambda_tilde", "tau_c_tilde"],
+}
+
 
 def _csv_ints(text):
     try:
@@ -46,7 +52,10 @@ def _unit_interval(text):
 
 
 def _positive_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
@@ -59,14 +68,10 @@ def _positive_float(text):
     return value
 
 
-# Each subcommand registers only the options it reads, so an option it would
-# ignore is a usage error, on the command line and in a config section alike.
-def _add_common(sub):
-    sub.add_argument("--dim", type=int, choices=(1, 2, 3), default=1)
-    sub.add_argument("--degrees", type=_csv_ints, default=None,
-                     help="comma-separated spline degrees")
-    sub.add_argument("--elements", type=_csv_ints, default=None,
-                     help="comma-separated element counts per direction")
+# Each subcommand registers only the options it reads, with its own defaults,
+# choices and arity, so an option it would ignore or a value it cannot take
+# is a usage error, on the command line and in a config section alike.
+def _add_problem(sub, run):
     sub.add_argument("--kappa", choices=("one", "exp"), default="one")
     sub.add_argument("--variant", choices=tuple(VARIANT_MAP), default="boundary-point",
                      help="penalization flavour")
@@ -75,18 +80,27 @@ def _add_common(sub):
     sub.add_argument("--out", required=True, help="output CSV path")
     sub.add_argument("--gnuplot", default=None, help="also write a gnuplot script here")
     sub.add_argument("--config", default=None, help="INI file with per-subcommand defaults")
+    sub.set_defaults(run=run)
 
 
-def _add_scheme(sub):
-    sub.add_argument("--rho", type=_unit_interval, default=None,
+def _add_mesh(sub, kind, degrees, elements):
+    sub.add_argument("--degrees", type=kind, default=degrees, help="spline degree(s)")
+    sub.add_argument("--elements", type=kind, default=elements,
+                     help="element count(s) per direction")
+
+
+def _add_discretization(sub, dims, rho, penalty, penalties):
+    sub.add_argument("--dim", type=int, choices=dims, default=1)
+    sub.add_argument("--rho", type=_unit_interval, default=rho,
                      help="spectral radius parameter of the integrator in [0, 1]")
-    sub.add_argument("--penalty", choices=("off", "on", "both"), default=None)
+    sub.add_argument("--penalty", choices=penalties, default=penalty)
 
 
-def _add_time(sub):
+def _add_run(sub, steps_kind, steps):
     sub.add_argument("--final-time", type=_positive_float, default=1.0, dest="final_time")
-    sub.add_argument("--steps", type=_csv_positive_ints, default=None,
-                     help="step counts; a list in time-refinement mode")
+    sub.add_argument("--steps", type=steps_kind, default=steps,
+                     help="step count(s); a list in time-refinement mode")
+    sub.add_argument("--init", choices=("project", "greville"), default="project")
 
 
 def _add_workers(sub):
@@ -96,56 +110,41 @@ def _add_workers(sub):
 
 
 def build_parser():
+    """The igawave parser and its subparsers action (whose choices map names to parsers)."""
     parser = argparse.ArgumentParser(
         prog="igawave",
         description="Spline Galerkin wave discretization studies",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    sub_map = {}
 
     sp = subs.add_parser("spectrum", help="eigenvalue and critical-step table")
-    _add_common(sp)
-    _add_scheme(sp)
+    _add_problem(sp, _run_spectrum)
+    _add_mesh(sp, _csv_ints, [3, 4, 5, 6], [5, 10, 20, 40, 80])
+    _add_discretization(sp, (1, 2, 3), 0.0, "both", ("off", "on", "both"))
     _add_workers(sp)
-    sub_map["spectrum"] = sp
 
+    # convergence's mesh and step defaults depend on --mode and --dim.
     cv = subs.add_parser("convergence", help="error convergence study")
-    _add_common(cv)
-    _add_scheme(cv)
-    _add_time(cv)
+    _add_problem(cv, _run_convergence)
+    _add_mesh(cv, _csv_ints, None, None)
+    _add_discretization(cv, (1, 2), 1.0, "on", ("off", "on"))
+    _add_run(cv, _csv_positive_ints, None)
     _add_workers(cv)
     cv.add_argument("--mode", choices=("space", "time"), default="space")
-    cv.add_argument("--init", choices=("project", "greville"), default="project")
-    sub_map["convergence"] = cv
 
     st = subs.add_parser("stability-region", help="critical steps over a rho grid")
-    _add_common(st)
-    sub_map["stability-region"] = st
+    _add_problem(st, _run_stability)
+    _add_mesh(st, int, 6, 80)
 
     so = subs.add_parser("solve", help="single manufactured-solution run")
-    _add_common(so)
-    _add_scheme(so)
-    _add_time(so)
-    so.add_argument("--init", choices=("project", "greville"), default="project")
+    _add_problem(so, _run_solve)
+    _add_mesh(so, int, 5, 40)
+    _add_discretization(so, (1, 2), 1.0, "on", ("off", "on"))
+    _add_run(so, _positive_int, 1000)
     so.add_argument("--stride", type=_positive_int, default=None,
                     help="steps between error samples (default steps/200)")
-    sub_map["solve"] = so
 
-    return parser, sub_map
-
-
-def _peek(argv, sub_map):
-    """Find the subcommand and any --config path before real parsing."""
-    command = None
-    config = None
-    for i, arg in enumerate(argv):
-        if command is None and arg in sub_map:
-            command = arg
-        if arg == "--config" and i + 1 < len(argv):
-            config = argv[i + 1]
-        elif arg.startswith("--config="):
-            config = arg.split("=", 1)[1]
-    return command, config
+    return parser, subs
 
 
 def _apply_config(parser, sub, command, path):
@@ -186,75 +185,44 @@ def _single(parser, values, name, fallback):
     return values[0]
 
 
-def _maybe_gnuplot(args, header, xcol, ycols, logx=False, logy=False):
+def _problem(args):
+    """The problem keywords every driver takes."""
+    return dict(kappa=args.kappa, variant=VARIANT_MAP[args.variant],
+                eta_a=args.eta_a, eta_b=args.eta_b)
+
+
+def _write(args, rows, xcol, ycols, header=None, **scales):
+    """Write rows under header (default: the rows' own keys) and any gnuplot script."""
+    header = header or list(rows[0])
+    ex.write_csv(args.out, header, rows)
     if args.gnuplot:
-        ex.write_gnuplot_script(args.gnuplot, args.out, header, xcol, ycols,
-                                logx=logx, logy=logy)
+        ex.write_gnuplot_script(args.gnuplot, args.out, header, xcol, ycols, **scales)
 
 
 def _run_spectrum(parser, args):
-    degrees = args.degrees or [3, 4, 5, 6]
-    elements = args.elements or [5, 10, 20, 40, 80]
-    penalty = args.penalty or "both"
-    rho = 0.0 if args.rho is None else args.rho
-    rows = ex.spectrum_table(
-        degrees,
-        elements,
-        dim=args.dim,
-        kappa=args.kappa,
-        rho=rho,
-        variant=VARIANT_MAP[args.variant],
-        eta_a=args.eta_a,
-        eta_b=args.eta_b,
-        workers=args.workers,
-    )
-    if penalty == "both":
-        header = ["p", "N", "lambda", "lambda_tilde", "tau_c", "tau_c_tilde", "ratio"]
-    elif penalty == "off":
-        header = ["p", "N", "lambda", "tau_c"]
-    else:
-        header = ["p", "N", "lambda_tilde", "tau_c_tilde"]
-    ex.write_csv(args.out, header, rows)
-    _maybe_gnuplot(args, header, "N", [h for h in header if h.startswith("tau")],
-                   logx=True, logy=True)
+    rows = ex.spectrum_table(args.degrees, args.elements, dim=args.dim, rho=args.rho,
+                             workers=args.workers, **_problem(args))
+    header = SPECTRUM_COLUMNS.get(args.penalty, list(rows[0]))
+    _write(args, rows, "N", [h for h in header if h.startswith("tau")], header,
+           logx=True, logy=True)
     return 0
 
 
 def _run_convergence(parser, args):
-    penalty = args.penalty or "on"
-    if penalty == "both":
-        parser.error("convergence runs use --penalty on or off")
-    penalized = penalty == "on"
-    rho = 1.0 if args.rho is None else args.rho
+    run = dict(rho=args.rho, T=args.final_time, penalized=args.penalty == "on",
+               init=args.init, workers=args.workers, **_problem(args))
     if args.mode == "space":
+        degrees = args.degrees or [3, 4, 5]
         if args.dim == 1:
-            degrees = args.degrees or [3, 4, 5]
             elements = args.elements or [5, 10, 20, 40, 80]
             n_steps = _single(parser, args.steps, "steps", 10_000)
         else:
-            degrees = args.degrees or [3, 4, 5]
             elements = args.elements or [4, 8, 16, 32]
             n_steps = _single(parser, args.steps, "steps", 100)
         if len(elements) < 2:
             parser.error("space-refinement mode needs at least two element counts")
-        rows = ex.convergence_space(
-            degrees,
-            elements,
-            dim=args.dim,
-            kappa=args.kappa,
-            rho=rho,
-            T=args.final_time,
-            n_steps=n_steps,
-            penalized=penalized,
-            variant=VARIANT_MAP[args.variant],
-            eta_a=args.eta_a,
-            eta_b=args.eta_b,
-            init=args.init,
-            workers=args.workers,
-        )
-        header = ["p", "N", "h", "l2", "h1", "l2_rate", "h1_rate"]
-        ex.write_csv(args.out, header, rows)
-        _maybe_gnuplot(args, header, "h", ["l2", "h1"], logx=True, logy=True)
+        rows = ex.convergence_space(degrees, elements, dim=args.dim, n_steps=n_steps, **run)
+        _write(args, rows, "h", ["l2", "h1"], logx=True, logy=True)
     else:
         if args.dim != 1:
             parser.error("time-refinement mode is 1D only")
@@ -263,71 +231,24 @@ def _run_convergence(parser, args):
         steps = args.steps or [1000, 1400, 2000, 2800]
         if len(steps) < 2:
             parser.error("time-refinement mode needs at least two step counts")
-        rows = ex.convergence_time(
-            steps,
-            p=p,
-            N=N,
-            kappa=args.kappa,
-            rho=rho,
-            T=args.final_time,
-            penalized=penalized,
-            variant=VARIANT_MAP[args.variant],
-            eta_a=args.eta_a,
-            eta_b=args.eta_b,
-            init=args.init,
-            workers=args.workers,
-        )
-        header = ["p", "N", "steps", "tau", "l2", "rate"]
-        ex.write_csv(args.out, header, rows)
-        _maybe_gnuplot(args, header, "tau", ["l2"], logx=True, logy=True)
+        rows = ex.convergence_time(steps, p=p, N=N, **run)
+        _write(args, rows, "tau", ["l2"], logx=True, logy=True)
     return 0
 
 
 def _run_stability(parser, args):
-    p = _single(parser, args.degrees, "degrees", 6)
-    N = _single(parser, args.elements, "elements", 80)
-    if args.dim != 1:
-        parser.error("stability-region is 1D only")
-    rows = ex.stability_region(
-        p=p,
-        N=N,
-        kappa=args.kappa,
-        variant=VARIANT_MAP[args.variant],
-        eta_a=args.eta_a,
-        eta_b=args.eta_b,
-    )
-    header = ["rho", "tau_c", "tau_c_tilde"]
-    ex.write_csv(args.out, header, rows)
-    _maybe_gnuplot(args, header, "rho", ["tau_c", "tau_c_tilde"])
+    rows = ex.stability_region(p=args.degrees, N=args.elements, **_problem(args))
+    _write(args, rows, "rho", ["tau_c", "tau_c_tilde"])
     return 0
 
 
 def _run_solve(parser, args):
-    penalty = args.penalty or "on"
-    if penalty == "both":
-        parser.error("solve uses --penalty on or off")
-    p = _single(parser, args.degrees, "degrees", 5)
-    N = _single(parser, args.elements, "elements", 40)
-    n_steps = _single(parser, args.steps, "steps", 1000)
-    rho = 1.0 if args.rho is None else args.rho
     rows, blew_up = ex.solve_mms(
-        dim=args.dim,
-        p=p,
-        N=N,
-        kappa=args.kappa,
-        rho=rho,
-        T=args.final_time,
-        n_steps=n_steps,
-        penalized=penalty == "on",
-        variant=VARIANT_MAP[args.variant],
-        eta_a=args.eta_a,
-        eta_b=args.eta_b,
-        init=args.init,
-        stride=args.stride,
+        dim=args.dim, p=args.degrees, N=args.elements, rho=args.rho, T=args.final_time,
+        n_steps=args.steps, penalized=args.penalty == "on", init=args.init,
+        stride=args.stride, **_problem(args),
     )
-    header = ["step", "t", "l2_error"]
-    ex.write_csv(args.out, header, rows)
-    _maybe_gnuplot(args, header, "t", ["l2_error"], logy=True)
+    _write(args, rows, "t", ["l2_error"], logy=True)
     if blew_up:
         print("blow-up detected; partial trace written", file=sys.stderr)
         return 4
@@ -335,21 +256,13 @@ def _run_solve(parser, args):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser, sub_map = build_parser()
-    command, config = _peek(argv, sub_map)
-    if config is not None and command is not None:
-        _apply_config(parser, sub_map[command], command, config)
+    parser, subs = build_parser()
+    args, _ = parser.parse_known_args(argv)
+    if args.config is not None:
+        _apply_config(parser, subs.choices[args.command], args.command, args.config)
     args = parser.parse_args(argv)
-
-    runners = {
-        "spectrum": _run_spectrum,
-        "convergence": _run_convergence,
-        "stability-region": _run_stability,
-        "solve": _run_solve,
-    }
     try:
-        return runners[args.command](parser, args)
+        return args.run(parser, args)
     except ex.BlowupDetected as err:
         print(f"blow-up: {err}", file=sys.stderr)
         return 4

@@ -203,7 +203,7 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
         solve, apply_K = M.factor(), K.matvec
         f_load = assemble_load(kv, rule, case.f_space)
         u0 = initial_coefficients(kv, rule, lambda x: case.u(x, 0.0), init)
-        v0 = initial_coefficients(kv, rule, lambda x: case.u_t(x, 0.0), init)
+        v0 = u0.copy()  # u = e^t sin(Wx), so u_t(x, 0) = u(x, 0)
 
         def l2(u, t):
             return l2_error(kv, u, lambda x: case.u(x, t), rule)

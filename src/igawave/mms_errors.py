@@ -44,7 +44,6 @@ class ManufacturedCase1D:
 
     kappa: object
     u: object = field(repr=False)
-    u_t: object = field(repr=False)
     u_x: object = field(repr=False)
     f_space: object = field(repr=False)
 
@@ -110,7 +109,7 @@ def case_1d(kappa="one"):
 
     else:
         raise ValueError(f"no manufactured forcing for coefficient {coeff.name!r}")
-    return ManufacturedCase1D(kappa=coeff, u=u, u_t=u, u_x=u_x, f_space=f_space)
+    return ManufacturedCase1D(kappa=coeff, u=u, u_x=u_x, f_space=f_space)
 
 
 def case_2d():

@@ -21,12 +21,12 @@ def _along_axis(op, X, axis):
     The axis goes first, the others keep their order and flatten into the
     columns, and the result is transposed back: the layout and the matrix
     product that np.tensordot(f, X, axes=(1, axis)) uses, without its
-    bookkeeping.
+    bookkeeping.  The inverse of that order is (1, .., axis, 0, axis+1, ..).
     """
-    order = (axis,) + tuple(k for k in range(X.ndim) if k != axis)
-    moved = X.transpose(order)
+    rest = range(axis + 1, X.ndim)
+    moved = X.transpose((axis, *range(axis), *rest))
     Y = op(moved.reshape(X.shape[axis], -1)).reshape(moved.shape)
-    return Y.transpose(np.argsort(order))
+    return Y.transpose((*range(1, axis + 1), 0, *rest))
 
 
 class KroneckerOperator:

@@ -256,11 +256,22 @@ def test_space_mode_needs_two_element_counts(tmp_path, capsys):
     ["spectrum", "--workers", "0"],
     ["convergence", "--workers", "-3"],
     ["stability-region", "--workers", "2"],
+    ["stability-region", "--dim", "1"],
 ])
 def test_option_the_subcommand_does_not_read_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_list_for_a_single_value_option_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "solve.ini"
+    cfg.write_text("[solve]\ndegrees = 3,4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "bad config value for 'degrees'" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -282,6 +293,8 @@ def test_spectrum_beyond_the_dense_limit(tmp_path):
     pytest.param(["solve", "--stride", "-2"], "--stride", id="stride-minus-2"),
     pytest.param(["solve", "--final-time", "-1"], "--final-time", id="final-time-minus-1"),
     pytest.param(["solve", "--final-time", "nan"], "--final-time", id="final-time-nan"),
+    pytest.param(["convergence", "--dim", "3"], "--dim", id="convergence-dim-3"),
+    pytest.param(["solve", "--dim", "3"], "--dim", id="solve-dim-3"),
 ])
 def test_out_of_range_count_or_time_exits_2_naming_the_option(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
