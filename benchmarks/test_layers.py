@@ -35,13 +35,17 @@ def test_build_1d_p5(benchmark, N):
     assert d.Mt.n == N + 3
 
 
+def test_build_1d_p6_n1000(benchmark):
+    assert benchmark(build_1d, 6, 1000).Mt.n == 1004
+
+
 def test_spectrum_table_cell_n1000(benchmark):
     rows = benchmark.pedantic(spectrum_table, args=([5], [1000]), kwargs={"workers": 1},
                               rounds=3, iterations=1)
     assert rows[0]["ratio"] > 1.0
 
 
-@pytest.mark.parametrize("N", [80, 1000])
+@pytest.mark.parametrize("N", [80, 1000, 10_000])
 def test_top_eigenvalue_penalized_p5(benchmark, N):
     d = build_1d(5, N)
     lam = benchmark(top_eigenvalue, d.Kt, d.Mt)

@@ -92,9 +92,8 @@ class BandedSymMatrix:
         if self._dense is None:
             u, n = self.bandwidth, self.n
             a = np.zeros((n, n))
-            for j in range(n):
-                i0 = max(0, j - u)
-                a[i0 : j + 1, j] = self.ab[u + i0 - j : u + 1, j]
+            for d in range(u + 1):  # entry (i, i + d) is ab[u - d, i + d]
+                a[np.arange(n - d), np.arange(d, n)] = self.ab[u - d, d:]
             a += np.triu(a, 1).T
             a.setflags(write=False)
             self._dense = a
@@ -159,10 +158,8 @@ def _assemble_product(kv, rule, deriv, coeff=None, interior=True):
     # straight into upper banded storage.
     p = kv.p
     xs, ws, firsts, vals = element_tables(kv, rule, deriv)
-    local = np.empty((kv.nelems, p + 1, p + 1))
-    for e, (x, w, v) in enumerate(zip(xs, ws, vals[:, :, deriv, :])):
-        wq = w if coeff is None else w * coeff(x)
-        local[e] = np.einsum("q,qa,qb->ab", wq, v, v)
+    wq, v = ws if coeff is None else ws * coeff(xs), vals[:, :, deriv, :]
+    local = np.einsum("eq,eqa,eqb->eab", wq, v, v)  # one call, sums over q in order
     # Entry (first + a, first + b) of an element lands in ab[p + a - b, first + b];
     # taking b downwards adds each entry's contributions in element order.
     ab = np.zeros((p + 1, kv.dim))

@@ -105,8 +105,8 @@ def _add_run(sub, steps_kind, steps):
 
 def _add_workers(sub):
     sub.add_argument("--workers", type=_positive_int, default=4,
-                     help="parallel workers (at least 1): processes for convergence, "
-                          "threads for spectrum")
+                     help="parallel worker processes (at least 1); the cells hold the GIL, "
+                          "so threads would run them one at a time")
 
 
 def build_parser():

@@ -1,10 +1,9 @@
 """Experiment drivers: spectral tables, convergence studies, stability maps.
 
-Everything here is deterministic by construction: table cells run in a
-pool (threads for the eigenvalue tables, forked processes for the
-time-stepping studies) but are collected in sorted order, seeds are fixed,
-and CSV output formats floats with full precision so repeated runs produce
-identical bytes.
+Everything here is deterministic by construction: table cells run on a
+pool of forked processes but are collected in sorted order, seeds are
+fixed, and CSV output formats floats with full precision so repeated runs
+produce identical bytes.
 """
 
 import math
@@ -18,6 +17,7 @@ from .assembly_1d import (
     assemble_mass,
     assemble_stiffness,
     build_penalties,
+    element_tables,
     kappa_variant,
     penalized_forms,
 )
@@ -108,10 +108,11 @@ def _run_cell(item):
 def _process_map(fn, items, workers):
     """_pool_map over forked worker processes, for cells that hold the GIL.
 
-    Time-stepping cells spend most of their time in small numpy calls that
-    keep the GIL, so threads serialize them; processes do not.  fn reaches
-    the workers through the pool initializer and is inherited by the fork,
-    never pickled, so closures work; items and results are pickled.  Where
+    Time-stepping cells spend most of their time in small numpy calls, and
+    eigenvalue cells in LAPACK calls (dpbtrf) that keep the GIL, so threads
+    serialize them; processes do not.  fn reaches the workers through the
+    pool initializer and is inherited by the fork, never pickled, so
+    closures work; items and results are pickled.  Where
     fork is unavailable this is the thread map.  Not spawn: a spawned
     worker imports numpy and scipy afresh, about 0.65 s on 2 cores, which
     is longer than a whole default 2D study.
@@ -172,7 +173,7 @@ def spectrum_table(
             "ratio": tau_t / tau,
         }
 
-    return _pool_map(one, cells, workers)
+    return _process_map(one, cells, workers)
 
 
 def _check_run(dim, kappa, T, steps, name="n_steps"):
@@ -197,6 +198,7 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
     d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     kv = d.kv
     rule = gauss_legendre(p + 3)
+    tables = [element_tables(kv, rule, 1)] * dim  # shared by every error sample
     M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
     if dim == 1:
         case = case_1d(kappa)
@@ -206,10 +208,10 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
         v0 = u0.copy()  # u = e^t sin(Wx), so u_t(x, 0) = u(x, 0)
 
         def l2(u, t):
-            return l2_error(kv, u, lambda x: case.u(x, t), rule)
+            return l2_error(kv, u, lambda x: case.u(x, t), tables)
 
         def h1(u, t):
-            return h1_seminorm_error(kv, u, lambda x: case.u_x(x, t), rule)
+            return h1_seminorm_error(kv, u, lambda x: case.u_x(x, t), tables)
 
     else:
         case = case_2d()
@@ -222,11 +224,11 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
         v0 = u0.copy()
 
         def l2(u, t):
-            return l2_error_2d(kv, kv, u, lambda x, y: case.u(x, y, t), rule)
+            return l2_error_2d(kv, kv, u, lambda x, y: case.u(x, y, t), tables)
 
         def h1(u, t):
             return h1_seminorm_error_2d(
-                kv, kv, u, lambda x, y: case.u_x(x, y, t), lambda x, y: case.u_y(x, y, t), rule
+                kv, kv, u, lambda x, y: case.u_x(x, y, t), lambda x, y: case.u_y(x, y, t), tables
             )
 
     def load(t):

@@ -12,7 +12,9 @@ evaluated once on the tensor grid of quadrature points, and the weighted
 squares are summed.  The sum runs over the later axes first and then, on
 the first axis, as one dot per element accumulated in element order.  That
 order is fixed on purpose: in 1D it is the order of a plain per-element
-loop, and the 1D CLI outputs are pinned to it bit for bit.
+loop, and the 1D CLI outputs are pinned to it bit for bit.  Each norm
+takes a quadrature rule or, for many samples on one mesh, the list of each
+axis's element_tables(kv, rule, 1), built once by the caller.
 """
 
 from dataclasses import dataclass, field
@@ -127,15 +129,10 @@ def initial_coefficients(kv, rule, fn, method="project"):
         return M.factor()(assemble_load(kv, rule, fn))
     if method == "greville":
         pts = greville_points(kv)[1:-1]
-        n = kv.interior_dim
-        A = np.zeros((n, n))
         firsts, ders = eval_basis_many(kv, pts, 0)
-        for i, (lo, row) in enumerate(zip(firsts, ders[:, 0, :])):
-            for a in range(kv.p + 1):
-                j = lo + a - 1  # shift into interior numbering
-                if 0 <= j < n:
-                    A[i, j] = row[a]
-        return np.linalg.solve(A, fn(pts))
+        A = np.zeros((pts.size, kv.dim))  # all functions; the boundary two are dropped
+        A[np.arange(pts.size)[:, None], firsts[:, None] + np.arange(kv.p + 1)] = ders[:, 0, :]
+        return np.linalg.solve(A[:, 1:-1], fn(pts))
     raise ValueError(f"unknown initialization {method!r}")
 
 
@@ -145,13 +142,13 @@ def _tensor_error(kvs, coeffs, exact, rule, derivs):
 
     kvs and derivs give each axis's knot vector and derivative order; coeffs
     are the interior coefficients in C order; exact takes one coordinate
-    array per axis and broadcasts them.
+    array per axis and broadcasts them.  rule: see the module docstring.
     """
     U = np.zeros(tuple(kv.dim for kv in kvs))
     U[(slice(1, -1),) * len(kvs)] = np.reshape(coeffs, tuple(kv.interior_dim for kv in kvs))
     grid, weights = [], []
     for axis, (kv, d) in enumerate(zip(kvs, derivs)):
-        x, w, firsts, vals = element_tables(kv, rule, d)
+        x, w, firsts, vals = rule[axis] if isinstance(rule, list) else element_tables(kv, rule, d)
         # U is (this axis, later axes, done element/point pairs); contract
         # this axis element by element and move its (element, point) pair last.
         active = U[firsts[:, None] + np.arange(kv.p + 1)]

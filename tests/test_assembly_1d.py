@@ -9,12 +9,14 @@ from scipy.interpolate import BSpline
 from igawave.assembly_1d import (
     BandedSymMatrix,
     Coefficient,
+    PenaltySet,
     alpha_of,
     assemble_load,
     assemble_mass,
     assemble_penalty,
     assemble_stiffness,
     build_penalties,
+    element_tables,
     kappa_variant,
     penalized_forms,
 )
@@ -327,3 +329,49 @@ def test_banded_assembly_matches_dense_reference_exactly(p, interior):
                 d0, d1 = d0[1:-1], d1[1:-1]
             assert_banded_equals(assemble_penalty(kv, ell, "endpoint", interior=interior),
                                  np.outer(d0, d0) + np.outer(d1, d1))
+
+
+def loop_product(kv, rule, deriv, coeff=None):
+    """The per-element einsum loop that the batched assembly replaced.
+
+    One einsum per element over the same element tables, scattered into
+    upper banded storage in the same order; interior degrees of freedom.
+    """
+    p = kv.p
+    xs, ws, firsts, vals = element_tables(kv, rule, deriv)
+    local = np.empty((kv.nelems, p + 1, p + 1))
+    for e, (x, w, v) in enumerate(zip(xs, ws, vals[:, :, deriv, :])):
+        wq = w if coeff is None else w * coeff(x)
+        local[e] = np.einsum("q,qa,qb->ab", wq, v, v)
+    ab = np.zeros((p + 1, kv.dim))
+    for b in range(p, -1, -1):
+        for a in range(b + 1):
+            ab[p + a - b, firsts + b] += local[:, a, b]
+    ab = ab[:, 1:-1].copy()
+    ab[p - 1 - np.arange(p), np.arange(p)] = 0.0
+    return BandedSymMatrix(ab)
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_batched_assembly_equals_the_element_loop(p):
+    """One einsum over all elements adds each entry in the loop's order."""
+    for N in (2, 3, 7, 40, 1000):
+        kv = open_uniform_knots(p, N)
+        for coeff in (ONE, EXP):
+            for rule in (gauss_legendre(p + 1), gauss_legendre(p + 3)):
+                M, K = loop_product(kv, rule, 0), loop_product(kv, rule, 1, coeff)
+                np.testing.assert_array_equal(assemble_mass(kv, rule).ab, M.ab)
+                np.testing.assert_array_equal(assemble_stiffness(kv, rule, coeff).ab, K.ab)
+                levels = range(1, alpha_of(p) + 1)
+                integral = tuple(loop_product(kv, rule, 2 * ell) for ell in levels)
+                for ell, P in enumerate(integral, start=1):
+                    np.testing.assert_array_equal(
+                        assemble_penalty(kv, ell, "integral", rule).ab, P.ab)
+                for variant in ("endpoint", "integral"):
+                    pen = build_penalties(kv, variant, rule)
+                    oracle = pen if variant == "endpoint" else PenaltySet(
+                        variant, integral, pen.eta_a, pen.eta_b)
+                    got = penalized_forms(assemble_mass(kv, rule),
+                                          assemble_stiffness(kv, rule, coeff), pen, kv.h)
+                    for g, want in zip(got, penalized_forms(M, K, oracle, kv.h)):
+                        np.testing.assert_array_equal(g.ab, want.ab)

@@ -302,3 +302,15 @@ def test_out_of_range_count_or_time_exits_2_naming_the_option(tmp_path, capsys, 
     assert exc.value.code == 2
     assert f"argument {option}:" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch, workers):
+    import igawave.eigen
+
+    monkeypatch.setattr(igawave.eigen, "SWEEPS", 1)  # no two sweeps to compare
+    out = tmp_path / "spec.csv"
+    argv = ["spectrum", "--degrees", "3", "--elements", "5,10", "--workers", workers]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "numerical failure: top eigenvalue did not settle" in capsys.readouterr().err
+    assert not out.exists()

@@ -18,6 +18,7 @@ from igawave.assembly_1d import (
     penalized_forms,
 )
 from igawave.eigen import NumericalFailure, full_spectrum, max_eigenvalue, top_eigenvalue
+from igawave.experiments import build_1d
 from igawave.quadrature import gauss_legendre
 from igawave.spline_basis import open_uniform_knots
 
@@ -198,3 +199,27 @@ def test_top_eigenvalue_rejects_indefinite_mass():
         top_eigenvalue(K, M)
     info = int(re.search(r"INFO=(\d+)", str(exc.value)).group(1))
     assert n < info <= 2 * n  # LAPACK's code for a failed factorization of M
+
+
+@pytest.mark.parametrize("penalized", [False, True])
+def test_top_eigenvalue_resolves_a_near_degenerate_top_pair(penalized):
+    # The two largest eigenvalues differ by 1.0e-12 (unpenalized) and 6.1e-11
+    # (penalized) relative.  A single shift-invert vector stalls on a mix of
+    # the pair, 8.5e-13 and 4.0e-12 low; the block resolves it.
+    d = build_1d(5, 1000)
+    K, M = (d.Kt, d.Mt) if penalized else (d.K, d.M)
+    assert top_eigenvalue(K, M) == pytest.approx(full_spectrum(K, M).max, rel=1e-13, abs=0)
+
+
+def test_top_eigenvalue_of_a_negative_definite_pair():
+    M, _ = system(4, 12)
+    assert top_eigenvalue(BandedSymMatrix(-M.ab), M) == pytest.approx(-1.0, rel=1e-15, abs=0)
+
+
+def test_top_eigenvalue_that_does_not_settle_raises(monkeypatch):
+    import igawave.eigen as eigen
+
+    M, K = system(3, 10)
+    monkeypatch.setattr(eigen, "SWEEPS", 1)  # one value, nothing to compare it with
+    with pytest.raises(NumericalFailure, match="did not settle"):
+        top_eigenvalue(K, M)

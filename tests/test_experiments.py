@@ -38,6 +38,20 @@ def test_time_study_rows_match_serial():
     assert ex.convergence_time([20, 40, 80], workers=3, **kwargs) == serial
 
 
+def test_spectrum_rows_match_serial():
+    serial = ex.spectrum_table([3, 5], [10, 40], kappa="exp", workers=1)
+    assert ex.spectrum_table([3, 5], [10, 40], kappa="exp", workers=2) == serial
+
+
+@needs_fork
+def test_eigensolver_failure_in_a_worker_reaches_the_caller(monkeypatch):
+    import igawave.eigen
+
+    monkeypatch.setattr(igawave.eigen, "SWEEPS", 1)  # inherited by the forked workers
+    with pytest.raises(ex.NumericalFailure, match="did not settle"):
+        ex.spectrum_table([3], [4, 8], workers=2)
+
+
 def test_blow_up_in_a_worker_reaches_the_caller():
     with pytest.raises(ex.BlowupDetected, match="blew up"):
         ex.convergence_space([3], [4, 8], T=20.0, n_steps=20, workers=2)

@@ -263,3 +263,23 @@ def test_observed_rates_validation():
         observed_rates([1.0], [1.0])
     with pytest.raises(ValueError):
         observed_rates([1.0, 0.0], [1.0, 0.5])
+
+
+def test_error_norms_take_tables_built_once():
+    """Tables from element_tables(kv, rule, 1), as a run builds them once,
+    give the norms the rule gives them, bit for bit."""
+    case1, case2 = case_1d("exp"), case_2d()
+    for p, N in [(1, 3), (3, 7), (5, 40)]:
+        kv = open_uniform_knots(p, N)
+        rule = gauss_legendre(p + 3)
+        tables = [element_tables(kv, rule, 1)]
+        c = np.random.default_rng(p).standard_normal(kv.interior_dim)
+        u, ux = (lambda x: case1.u(x, 0.7)), (lambda x: case1.u_x(x, 0.7))
+        assert l2_error(kv, c, u, tables) == l2_error(kv, c, u, rule)
+        assert h1_seminorm_error(kv, c, ux, tables) == h1_seminorm_error(kv, c, ux, rule)
+        c2 = np.random.default_rng(N).standard_normal(kv.interior_dim**2)
+        u2 = lambda x, y: case2.u(x, y, 0.7)
+        ux2, uy2 = (lambda x, y: case2.u_x(x, y, 0.7)), (lambda x, y: case2.u_y(x, y, 0.7))
+        assert l2_error_2d(kv, kv, c2, u2, tables * 2) == l2_error_2d(kv, kv, c2, u2, rule)
+        assert h1_seminorm_error_2d(kv, kv, c2, ux2, uy2, tables * 2) == h1_seminorm_error_2d(
+            kv, kv, c2, ux2, uy2, rule)
