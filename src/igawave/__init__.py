@@ -10,13 +10,11 @@ dissipation, and the study drivers behind the `igawave` command.
 from .assembly_1d import (
     BandedSymMatrix,
     Coefficient,
-    PenaltySet,
     alpha_of,
     assemble_load,
     assemble_mass,
     assemble_penalty,
     assemble_stiffness,
-    build_penalties,
     kappa_variant,
     penalized_forms,
 )
@@ -45,7 +43,6 @@ from .integrator import (
     DynamicState,
     IntegrationResult,
     amplification_matrix,
-    critical_dt,
     critical_omega,
     initial_state,
     integrate,
@@ -69,7 +66,6 @@ from .quadrature import QuadratureRule, gauss_legendre, map_to_element, rule_for
 from .spline_basis import (
     KnotVector,
     boundary_derivative_vectors,
-    eval_basis,
     eval_basis_many,
     greville_points,
     open_uniform_knots,

@@ -17,7 +17,7 @@ The outlier-removal penalties come in two flavours:
   eigenvalue overshoots pi^2/h^2 by a margin that grows with N.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky_banded
@@ -36,12 +36,12 @@ __all__ = [
     "assemble_load",
     "assemble_penalty",
     "element_tables",
-    "PenaltySet",
-    "build_penalties",
     "penalized_forms",
 ]
 
-PENALTY_VARIANTS = ("endpoint", "integral")
+# Level ell's weights are h^(a ell + m) in the mass and pi^2 h^(a ell + k) in
+# the stiffness, with (a, m, k) per variant.
+_H_POWERS = {"endpoint": (4, 1, -1), "integral": (6, -1, -3)}
 
 
 @dataclass(frozen=True)
@@ -217,20 +217,6 @@ def assemble_penalty(kv, ell, variant="endpoint", rule=None, interior=True):
     raise ValueError(f"unknown penalty variant {variant!r}")
 
 
-@dataclass(frozen=True)
-class PenaltySet:
-    """Penalty matrices for levels 1..alpha plus their weights."""
-
-    variant: str
-    matrices: tuple
-    eta_a: tuple
-    eta_b: tuple
-
-    @property
-    def levels(self):
-        return range(1, len(self.matrices) + 1)
-
-
 def _eta_tuple(name, eta, nlevels):
     scalar = np.isscalar(eta)
     eta = (float(eta),) if scalar else tuple(float(v) for v in eta)
@@ -243,37 +229,26 @@ def _eta_tuple(name, eta, nlevels):
     return eta
 
 
-def build_penalties(kv, variant="endpoint", rule=None, eta_a=1.0, eta_b=1.0):
-    """Assemble all penalty levels for the knot vector; empty when p <= 2."""
-    if variant not in PENALTY_VARIANTS:
+def penalized_forms(M, K, kv, variant="endpoint", rule=None, eta_a=1.0, eta_b=1.0):
+    """Mass/stiffness pair with the outlier penalties of every level folded in.
+
+    Level ell adds eta_b[ell] * w_m * P_ell to M and eta_a[ell] * w_k * P_ell
+    to K, with P_ell from assemble_penalty and h = 1/N:
+    endpoint weights: mass h^(4l+1), stiffness pi^2 h^(4l-1);
+    integral weights: mass h^(6l-1), stiffness pi^2 h^(6l-3).
+    A scalar weight applies to every level.  With no penalty levels (p <= 2)
+    the input pair is returned unchanged; the weights are checked either way.
+    """
+    if variant not in _H_POWERS:
         raise ValueError(f"unknown penalty variant {variant!r}")
     nlevels = alpha_of(kv.p)
-    mats = tuple(assemble_penalty(kv, ell, variant, rule) for ell in range(1, nlevels + 1))
-    return PenaltySet(
-        variant=variant,
-        matrices=mats,
-        eta_a=_eta_tuple("eta_a", eta_a, nlevels),
-        eta_b=_eta_tuple("eta_b", eta_b, nlevels),
-    )
-
-
-def penalized_forms(M, K, penalties, h):
-    """Mass/stiffness pair with the outlier penalties folded in.
-
-    Endpoint weights: mass h^(4l+1), stiffness pi^2 h^(4l-1).
-    Integral weights: mass h^(6l-1), stiffness pi^2 h^(6l-3).
-    With no penalty levels the input pair is returned unchanged.
-    """
-    if not penalties.matrices:
-        return M, K
+    eta_a = _eta_tuple("eta_a", eta_a, nlevels)
+    eta_b = _eta_tuple("eta_b", eta_b, nlevels)
+    a, m, k = _H_POWERS[variant]
+    h = kv.h
     Mt, Kt = M, K
-    for ell, P, ea, eb in zip(penalties.levels, penalties.matrices, penalties.eta_a, penalties.eta_b):
-        if penalties.variant == "endpoint":
-            wm = h ** (4 * ell + 1)
-            wk = np.pi**2 * h ** (4 * ell - 1)
-        else:
-            wm = h ** (6 * ell - 1)
-            wk = np.pi**2 * h ** (6 * ell - 3)
-        Mt = Mt.add_scaled(P, eb * wm)
-        Kt = Kt.add_scaled(P, ea * wk)
+    for ell, ea, eb in zip(range(1, nlevels + 1), eta_a, eta_b):
+        P = assemble_penalty(kv, ell, variant, rule)
+        Mt = Mt.add_scaled(P, eb * h ** (a * ell + m))
+        Kt = Kt.add_scaled(P, ea * (np.pi**2 * h ** (a * ell + k)))
     return Mt, Kt

@@ -49,10 +49,6 @@ class SpectrumResult:
     top_residual: float
 
     @property
-    def frequencies(self):
-        return np.sqrt(self.eigenvalues)
-
-    @property
     def max(self):
         return float(self.eigenvalues[-1])
 

@@ -7,7 +7,6 @@ produce identical bytes.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +15,6 @@ from .assembly_1d import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    build_penalties,
     element_tables,
     kappa_variant,
     penalized_forms,
@@ -80,16 +78,14 @@ def build_1d(p, N, kappa="one", variant="endpoint", eta_a=1.0, eta_b=1.0):
     rule = rule_for_degree(p, coeff.smooth_polynomial)
     M = assemble_mass(kv, rule)
     K = assemble_stiffness(kv, rule, coeff)
-    pen = build_penalties(kv, variant=variant, rule=rule, eta_a=eta_a, eta_b=eta_b)
-    Mt, Kt = penalized_forms(M, K, pen, kv.h)
+    Mt, Kt = penalized_forms(M, K, kv, variant, rule, eta_a, eta_b)
     return Discretization1D(kv=kv, M=M, K=K, Mt=Mt, Kt=Kt)
 
 
 def _pool_map(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    # The serial map.  It keeps the name and the unused workers argument
+    # because bench/tracer.py wraps it and calls it with three arguments.
+    return [fn(it) for it in items]
 
 
 # The cell function of the process pool, set in each worker by _set_cell.
@@ -113,7 +109,7 @@ def _process_map(fn, items, workers):
     serialize them; processes do not.  fn reaches the workers through the
     pool initializer and is inherited by the fork, never pickled, so
     closures work; items and results are pickled.  Where
-    fork is unavailable this is the thread map.  Not spawn: a spawned
+    fork is unavailable this is the serial map.  Not spawn: a spawned
     worker imports numpy and scipy afresh, about 0.65 s on 2 cores, which
     is longer than a whole default 2D study.
     """
@@ -186,6 +182,20 @@ def _check_run(dim, kappa, T, steps, name="n_steps"):
         raise ValueError(f"T must be finite and positive, got {T!r}")
     if min(steps) < 1:
         raise ValueError(f"{name} must be at least 1, got {steps!r}")
+
+
+def _check_distinct(name, values):
+    """Reject a repeated entry, which would give a rate of 0/0."""
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} must not repeat an entry, got {list(values)!r}")
+
+
+def _add_rates(rows, x, key, name):
+    """Set row[name] to the observed rate of row[key] in row[x] against the row before."""
+    rates = observed_rates([r[key] for r in rows], [r[x] for r in rows])
+    rows[0][name] = None
+    for r, rate in zip(rows[1:], rates):
+        r[name] = float(rate)
 
 
 def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
@@ -265,6 +275,8 @@ def convergence_space(
 ):
     """Mesh-refinement study rows with pairwise observed rates per degree."""
     _check_run(dim, kappa, T, [n_steps])
+    _check_distinct("degrees", degrees)
+    _check_distinct("elements", elements)
     cells = sorted((p, N) for p in degrees for N in elements)
 
     def one(cell):
@@ -275,13 +287,8 @@ def convergence_space(
     rows = _process_map(one, cells, workers)
     for p in sorted(set(c[0] for c in cells)):
         sub = [r for r in rows if r["p"] == p]
-        hs = np.array([r["h"] for r in sub])
         for key in ("l2", "h1"):
-            errs = np.array([r[key] for r in sub])
-            rates = observed_rates(errs, hs)
-            sub[0][f"{key}_rate"] = None
-            for r, rate in zip(sub[1:], rates):
-                r[f"{key}_rate"] = float(rate)
+            _add_rates(sub, "h", key, f"{key}_rate")
     return rows
 
 
@@ -302,18 +309,14 @@ def convergence_time(
     """Step-refinement study at a fixed fine mesh; rates are in tau."""
     steps_list = sorted(int(s) for s in steps_list)
     _check_run(1, kappa, T, steps_list, "steps_list")
+    _check_distinct("steps_list", steps_list)
 
     def one(n_steps):
         l2, _ = _mms_run(1, p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
         return {"p": p, "N": N, "steps": n_steps, "tau": T / n_steps, "l2": l2}
 
     rows = _process_map(one, steps_list, workers)
-    taus = np.array([r["tau"] for r in rows])
-    errs = np.array([r["l2"] for r in rows])
-    rates = observed_rates(errs, taus)
-    rows[0]["rate"] = None
-    for r, rate in zip(rows[1:], rates):
-        r["rate"] = float(rate)
+    _add_rates(rows, "tau", "l2", "rate")
     return rows
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "amplification_matrix",
     "spectral_radius",
     "critical_omega",
-    "critical_dt",
 ]
 
 BLOWUP_FACTOR = 1.0e6
@@ -234,9 +233,3 @@ def critical_omega(params, tol=1e-8):
             hi = mid
     return lo
 
-
-def critical_dt(lam_max, params, tol=1e-8):
-    """Critical step tau_c = C_rho / sqrt(lam_max)."""
-    if lam_max <= 0:
-        raise ValueError("largest eigenvalue must be positive")
-    return critical_omega(params, tol) / np.sqrt(lam_max)

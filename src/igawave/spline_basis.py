@@ -15,8 +15,6 @@ import numpy as np
 __all__ = [
     "KnotVector",
     "open_uniform_knots",
-    "find_span",
-    "eval_basis",
     "eval_basis_many",
     "greville_points",
     "boundary_derivative_vectors",
@@ -75,7 +73,7 @@ def open_uniform_knots(p, N):
 
 
 def _find_spans(kv, xs):
-    # Vector form of find_span; xs is a 1D float array.
+    # Index s with knots[s] <= x < knots[s+1] per point; xs is a 1D float array.
     inside = (xs >= 0.0) & (xs <= 1.0)
     if not inside.all():
         raise ValueError(f"point {xs[~inside][0]} outside [0, 1]")
@@ -87,46 +85,17 @@ def _find_spans(kv, xs):
     return np.where(xs >= 1.0, N + p - 1, p + e + up - down)
 
 
-def find_span(kv, x):
-    """Index s with knots[s] <= x < knots[s+1], one-sided from the right.
-
-    At x = 1 the last non-empty span is returned, so derivative values
-    there come from the final element.
-    """
-    return int(_find_spans(kv, np.array([x], dtype=float))[0])
-
-
-def eval_basis(kv, x, max_deriv=0):
-    """Evaluate the p+1 active basis functions and derivatives at x.
-
-    Parameters
-    ----------
-    kv : KnotVector
-    x : float
-        Point in [0, 1].  At interior knots the values are one-sided from
-        the right; at x = 1 from the left.
-    max_deriv : int
-        Highest derivative order, 0 <= max_deriv <= p.
-
-    Returns
-    -------
-    first : int
-        Global index of the first active basis function.
-    ders : ndarray, shape (max_deriv + 1, p + 1)
-        ders[k, a] is the k-th derivative of basis function first + a.
-    """
-    firsts, ders = eval_basis_many(kv, [x], max_deriv)
-    return int(firsts[0]), ders[0]
-
-
 def eval_basis_many(kv, xs, max_deriv=0):
-    """Vector variant of eval_basis over a 1D array of points.
+    """The p+1 active basis functions and their derivatives at each point.
 
-    Returns (firsts, ders) with shapes (len(xs),) and
-    (len(xs), max_deriv + 1, p + 1).  Each point goes through exactly the
-    floating-point operations of the one-point recurrence (Piegl & Tiller,
-    A2.3), only on arrays over points, so the values do not depend on how
-    the points are batched.
+    xs is a 1D array of points in [0, 1]; a point outside raises ValueError.
+    At interior knots the values are one-sided from the right, and at x = 1
+    from the left (the last non-empty span).  Returns (firsts, ders) with
+    shapes (len(xs),) and (len(xs), max_deriv + 1, p + 1): ders[i, k, a] is
+    the k-th derivative of basis function firsts[i] + a at xs[i], for
+    0 <= max_deriv <= p.  Each point goes through exactly the floating-point
+    operations of the one-point recurrence (Piegl & Tiller, A2.3), only on
+    arrays over points, so the values do not depend on how they are batched.
     """
     p, n, knots = kv.p, max_deriv, kv.knots
     if not 0 <= n <= p:
@@ -195,11 +164,8 @@ def boundary_derivative_vectors(kv, order):
     Only the first and last p+1 basis functions contribute.  Used by the
     endpoint penalty terms.
     """
-    dim = kv.dim
-    d0 = np.zeros(dim)
-    d1 = np.zeros(dim)
-    first, ders = eval_basis(kv, 0.0, order)
-    d0[first : first + kv.p + 1] = ders[order]
-    first, ders = eval_basis(kv, 1.0, order)
-    d1[first : first + kv.p + 1] = ders[order]
-    return d0, d1
+    firsts, ders = eval_basis_many(kv, [0.0, 1.0], order)
+    d = np.zeros((2, kv.dim))
+    for row, first, vals in zip(d, firsts, ders[:, order]):
+        row[first : first + kv.p + 1] = vals
+    return d[0], d[1]

@@ -9,13 +9,11 @@ from scipy.interpolate import BSpline
 from igawave.assembly_1d import (
     BandedSymMatrix,
     Coefficient,
-    PenaltySet,
     alpha_of,
     assemble_load,
     assemble_mass,
     assemble_penalty,
     assemble_stiffness,
-    build_penalties,
     element_tables,
     kappa_variant,
     penalized_forms,
@@ -196,11 +194,10 @@ def test_penalty_needs_valid_level():
 def test_no_penalties_below_cubic():
     kv = open_uniform_knots(2, 6)
     rule = gauss_legendre(3)
-    pen = build_penalties(kv, rule=rule)
-    assert pen.matrices == ()
+    assert alpha_of(kv.p) == 0
     M = assemble_mass(kv, rule)
     K = assemble_stiffness(kv, rule, ONE)
-    Mt, Kt = penalized_forms(M, K, pen, kv.h)
+    Mt, Kt = penalized_forms(M, K, kv, rule=rule)
     assert Mt is M and Kt is K
 
 
@@ -213,12 +210,13 @@ def test_penalized_forms_weights():
     M = assemble_mass(kv, rule)
     K = assemble_stiffness(kv, rule, ONE)
     for variant in ("endpoint", "integral"):
-        pen = build_penalties(kv, variant=variant, rule=rule)
-        assert len(pen.matrices) == 2
-        Mt, Kt = penalized_forms(M, K, pen, h)
+        levels = range(1, alpha_of(p) + 1)
+        matrices = [assemble_penalty(kv, ell, variant, rule) for ell in levels]
+        assert len(matrices) == 2
+        Mt, Kt = penalized_forms(M, K, kv, variant, rule)
         expect_m = M.to_dense().copy()
         expect_k = K.to_dense().copy()
-        for ell, P in zip(pen.levels, pen.matrices):
+        for ell, P in zip(levels, matrices):
             if variant == "endpoint":
                 wm, wk = h ** (4 * ell + 1), np.pi**2 * h ** (4 * ell - 1)
             else:
@@ -234,25 +232,36 @@ def test_zero_weights_recover_standard_forms():
     rule = gauss_legendre(6)
     M = assemble_mass(kv, rule)
     K = assemble_stiffness(kv, rule, ONE)
-    pen = build_penalties(kv, eta_a=0.0, eta_b=0.0)
-    Mt, Kt = penalized_forms(M, K, pen, kv.h)
+    Mt, Kt = penalized_forms(M, K, kv, eta_a=0.0, eta_b=0.0)
     np.testing.assert_allclose(Mt.to_dense(), M.to_dense(), atol=1e-15)
     np.testing.assert_allclose(Kt.to_dense(), K.to_dense(), atol=1e-15)
 
 
 def test_per_level_weights():
     kv = open_uniform_knots(5, 6)
-    pen = build_penalties(kv, eta_a=(1.0, 2.0), eta_b=(0.5, 0.0))
-    assert pen.eta_a == (1.0, 2.0)
-    assert pen.eta_b == (0.5, 0.0)
+    rule = gauss_legendre(6)
+    M = assemble_mass(kv, rule)
+    K = assemble_stiffness(kv, rule, ONE)
+    Mt, Kt = penalized_forms(M, K, kv, eta_a=(1.0, 2.0), eta_b=(0.5, 0.0))
+    # level ell carries eta_a[ell] in K and eta_b[ell] in M
+    P1, P2 = assemble_penalty(kv, 1), assemble_penalty(kv, 2)
+    h = kv.h
+    want_m = M.add_scaled(P1, 0.5 * h**5).add_scaled(P2, 0.0 * h**9)
+    want_k = K.add_scaled(P1, 1.0 * (np.pi**2 * h**3)).add_scaled(P2, 2.0 * (np.pi**2 * h**7))
+    np.testing.assert_array_equal(Mt.ab, want_m.ab)
+    np.testing.assert_array_equal(Kt.ab, want_k.ab)
     with pytest.raises(ValueError):
-        build_penalties(kv, eta_a=(1.0,))
+        penalized_forms(M, K, kv, eta_a=(1.0,))
     for bad in (-1.0, np.nan, np.inf, (1.0, -2.0)):
         with pytest.raises(ValueError, match="eta_b"):
-            build_penalties(kv, eta_b=bad)
+            penalized_forms(M, K, kv, eta_b=bad)
+    with pytest.raises(ValueError, match="unknown penalty variant"):
+        penalized_forms(M, K, kv, variant="no-such-variant")
     # rejected even where there is no penalty level to weight
+    kv2 = open_uniform_knots(2, 6)
+    M2, K2 = assemble_mass(kv2, rule), assemble_stiffness(kv2, rule, ONE)
     with pytest.raises(ValueError, match="eta_a"):
-        build_penalties(open_uniform_knots(2, 6), eta_a=-1.0)
+        penalized_forms(M2, K2, kv2, eta_a=-1.0)
 
 
 def test_coefficient_validation():
@@ -368,10 +377,8 @@ def test_batched_assembly_equals_the_element_loop(p):
                     np.testing.assert_array_equal(
                         assemble_penalty(kv, ell, "integral", rule).ab, P.ab)
                 for variant in ("endpoint", "integral"):
-                    pen = build_penalties(kv, variant, rule)
-                    oracle = pen if variant == "endpoint" else PenaltySet(
-                        variant, integral, pen.eta_a, pen.eta_b)
+                    # the integral levels were just checked against the loop
                     got = penalized_forms(assemble_mass(kv, rule),
-                                          assemble_stiffness(kv, rule, coeff), pen, kv.h)
-                    for g, want in zip(got, penalized_forms(M, K, oracle, kv.h)):
+                                          assemble_stiffness(kv, rule, coeff), kv, variant, rule)
+                    for g, want in zip(got, penalized_forms(M, K, kv, variant, rule)):
                         np.testing.assert_array_equal(g.ab, want.ab)

@@ -245,6 +245,19 @@ def test_space_mode_needs_two_element_counts(tmp_path, capsys):
     assert "space-refinement mode needs at least two element counts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["convergence", "--degrees", "3", "--elements", "10,10", "--steps", "200"], "elements"),
+    (["convergence", "--degrees", "3,3", "--elements", "5,10", "--steps", "200"], "degrees"),
+    (["convergence", "--mode", "time", "--elements", "20", "--steps", "1000,1000"], "steps_list"),
+])
+def test_repeated_list_entry_exits_2(tmp_path, capsys, argv, name):
+    # a repeated entry would give a 0/0 rate
+    rc = main(argv + ["--workers", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert f"{name} must not repeat an entry" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["stability-region", "--rho", "0.5"],
     ["stability-region", "--penalty", "on"],

@@ -63,6 +63,9 @@ def test_blow_up_in_a_worker_reaches_the_caller():
     ("convergence_time", {"steps_list": [0, 10]}, "steps_list"),
     ("solve_mms", {"T": -1.0}, "T"),
     ("solve_mms", {"T": float("nan")}, "T"),
+    ("convergence_space", {"degrees": [3], "elements": [10, 10], "n_steps": 200}, "elements"),
+    ("convergence_space", {"degrees": [3, 3], "elements": [5, 10], "n_steps": 200}, "degrees"),
+    ("convergence_time", {"steps_list": [1000, 1000], "N": 20}, "steps_list"),
 ])
 def test_run_arguments_checked_before_any_work(study, kwargs, argument):
     with pytest.raises(ValueError, match=rf"^{argument} must"):

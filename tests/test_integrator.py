@@ -11,7 +11,6 @@ from igawave.experiments import build_1d
 from igawave.integrator import (
     DynamicState,
     amplification_matrix,
-    critical_dt,
     critical_omega,
     initial_state,
     integrate,
@@ -157,14 +156,6 @@ def test_critical_omega_constants():
 def test_critical_omega_monotone_in_rho():
     values = [critical_omega(params_from_rho(r)) for r in np.linspace(0, 1, 11)]
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
-
-
-def test_critical_dt():
-    lam = 400.0
-    params = params_from_rho(1.0)
-    assert critical_dt(lam, params) == pytest.approx(2.0 / 20.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        critical_dt(0.0, params)
 
 
 def test_blow_up_above_critical():

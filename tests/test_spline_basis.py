@@ -7,20 +7,24 @@ from scipy.interpolate import BSpline
 from igawave.spline_basis import (
     KnotVector,
     boundary_derivative_vectors,
-    eval_basis,
     eval_basis_many,
-    find_span,
     greville_points,
     open_uniform_knots,
 )
 from igawave.quadrature import gauss_legendre, map_to_element
 
 
+def find_span(kv, x):
+    """Knot span index of one point: first active basis function plus p."""
+    firsts, _ = eval_basis_many(kv, [x])
+    return int(firsts[0]) + kv.p
+
+
 def scatter(kv, x, deriv=0):
     """Full-dimension row of basis (derivative) values at one point."""
-    first, ders = eval_basis(kv, x, deriv)
+    firsts, ders = eval_basis_many(kv, [x], deriv)
     row = np.zeros(kv.dim)
-    row[first : first + kv.p + 1] = ders[deriv]
+    row[firsts[0] : firsts[0] + kv.p + 1] = ders[0, deriv]
     return row
 
 
@@ -142,9 +146,9 @@ def test_boundary_derivative_vectors_support():
 def test_eval_basis_rejects_bad_derivative_order():
     kv = open_uniform_knots(3, 4)
     with pytest.raises(ValueError):
-        eval_basis(kv, 0.5, 4)
+        eval_basis_many(kv, [0.5], 4)
     with pytest.raises(ValueError):
-        eval_basis(kv, 0.5, -1)
+        eval_basis_many(kv, [0.5], -1)
 
 
 def test_endpoint_values_are_interpolatory():
@@ -167,7 +171,8 @@ def scalar_basis_derivatives(kv, x, n):
     agree exactly, not to a tolerance.
     """
     p, knots = kv.p, kv.knots
-    span = find_span(kv, x)
+    # knots[span] <= x < knots[span + 1], the last non-empty span at x = 1
+    span = min(int(np.searchsorted(knots, x, side="right")) - 1, kv.dim - 1)
     ndu = np.empty((p + 1, p + 1))
     ndu[0, 0] = 1.0
     left = np.empty(p + 1)
