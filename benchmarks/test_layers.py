@@ -15,7 +15,7 @@ from igawave.cli import main
 from igawave.eigen import top_eigenvalue
 from igawave.experiments import build_1d, spectrum_table
 from igawave.integrator import critical_omega, initial_state, integrate, params_from_rho
-from igawave.mms_errors import case_2d, l2_error, l2_error_2d
+from igawave.mms_errors import l2_error, l2_error_2d, manufactured_case
 from igawave.quadrature import gauss_legendre, map_to_element
 from igawave.spline_basis import eval_basis_many, open_uniform_knots
 from igawave.tensor_ops import build_tensor_operators, kron_mass_factor
@@ -116,7 +116,7 @@ def test_l2_error_p5_n40(benchmark):
 def test_l2_error_2d_p5_n64(benchmark):
     kv = open_uniform_knots(5, 64)
     c = np.random.default_rng(0).standard_normal(kv.interior_dim**2)
-    case = case_2d()
+    case = manufactured_case("one", 2)
     exact = lambda x, y: case.u(x, y, 1.0)
     assert benchmark(l2_error_2d, kv, kv, c, exact, gauss_legendre(8)) > 0.0
 

@@ -51,15 +51,13 @@ from .integrator import (
     step,
 )
 from .mms_errors import (
-    ManufacturedCase1D,
-    ManufacturedCase2D,
-    case_1d,
-    case_2d,
+    ManufacturedCase,
     h1_seminorm_error,
     h1_seminorm_error_2d,
     initial_coefficients,
     l2_error,
     l2_error_2d,
+    manufactured_case,
     observed_rates,
 )
 from .quadrature import QuadratureRule, gauss_legendre, map_to_element, rule_for_degree

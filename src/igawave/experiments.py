@@ -6,6 +6,7 @@ fixed, and CSV output formats floats with full precision so repeated runs
 produce identical bytes.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,16 +28,15 @@ from .integrator import (
     params_from_rho,
 )
 from .mms_errors import (
-    case_1d,
-    case_2d,
     h1_seminorm_error,
     h1_seminorm_error_2d,
     initial_coefficients,
     l2_error,
     l2_error_2d,
+    manufactured_case,
     observed_rates,
 )
-from .quadrature import gauss_legendre, rule_for_degree
+from .quadrature import MAX_POINTS, gauss_legendre, rule_for_degree
 from .spline_basis import open_uniform_knots
 from .tensor_ops import build_tensor_operators, kron_mass_factor
 
@@ -148,6 +148,9 @@ def spectrum_table(
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if kappa != "one" and dim != 1:
         raise ValueError("variable coefficient runs are 1D only")
+    _check_degrees(degrees, kappa)
+    _check_distinct("degrees", degrees)
+    _check_distinct("elements", elements)
     params = params_from_rho(rho)
     c_rho = critical_omega(params)
     cells = sorted((p, N) for p in degrees for N in elements)
@@ -172,12 +175,26 @@ def spectrum_table(
     return _process_map(one, cells, workers)
 
 
-def _check_run(dim, kappa, T, steps, name="n_steps"):
+def _check_degrees(degrees, kappa, manufactured=False):
+    """Reject a degree whose quadrature rule is not in the table, before any work.
+
+    Assembly takes p + 1 Gauss points, or p + 3 for a variable coefficient;
+    the manufactured runs' loads and error norms take p + 3.
+    """
+    coeff = kappa_variant(kappa) if isinstance(kappa, str) else kappa
+    top = MAX_POINTS - (1 if coeff.smooth_polynomial and not manufactured else 3)
+    for p in degrees:
+        if not 1 <= p <= top:
+            raise ValueError(f"degrees must lie in 1..{top} in this run, got {p}")
+
+
+def _check_run(dim, kappa, degrees, T, steps, name="n_steps"):
     """Reject what no manufactured-solution run can take, before any work."""
     if dim not in (1, 2):
         raise ValueError(f"manufactured-solution runs are 1D or 2D, got dim={dim!r}")
     if kappa != "one" and dim != 1:
         raise ValueError("variable coefficient runs are 1D only")
+    _check_degrees(degrees, kappa, manufactured=True)
     if not (math.isfinite(T) and T > 0.0):
         raise ValueError(f"T must be finite and positive, got {T!r}")
     if min(steps) < 1:
@@ -203,48 +220,44 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
 
     Returns (solve_M, apply_K, load, state0, l2, h1): load(t) is the load
     vector at time t, and l2(u, t) and h1(u, t) are the errors of the
-    coefficients u against the exact solution at time t.
+    coefficients u against the exact solution at time t.  Every axis has
+    the same mesh, so loads and start states are outer products of one 1D
+    vector.  dim picks only the operator pair (in 1D the banded pair: a
+    one-axis Kronecker pair gives the same bits at two to three times the
+    cost a call) and the error-norm function, looked up at each call so
+    that a rebinding of the module's name takes effect.
     """
     d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     kv = d.kv
     rule = gauss_legendre(p + 3)
-    tables = [element_tables(kv, rule, 1)] * dim  # shared by every error sample
+    case = manufactured_case(kappa, dim)
     M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
     if dim == 1:
-        case = case_1d(kappa)
         solve, apply_K = M.factor(), K.matvec
-        f_load = assemble_load(kv, rule, case.f_space)
-        u0 = initial_coefficients(kv, rule, lambda x: case.u(x, 0.0), init)
-        v0 = u0.copy()  # u = e^t sin(Wx), so u_t(x, 0) = u(x, 0)
-
-        def l2(u, t):
-            return l2_error(kv, u, lambda x: case.u(x, t), tables)
-
-        def h1(u, t):
-            return h1_seminorm_error(kv, u, lambda x: case.u_x(x, t), tables)
-
     else:
-        case = case_2d()
-        mass, stiff = build_tensor_operators([(M, K), (M, K)])
+        mass, stiff = build_tensor_operators([(M, K)] * dim)
         solve, apply_K = kron_mass_factor(mass), stiff.matvec
-        s_load = assemble_load(kv, rule, case.profile)
-        f_load = case.f_const * np.outer(s_load, s_load).ravel()
-        u1 = initial_coefficients(kv, rule, case.profile, init)
-        u0 = np.outer(u1, u1).ravel()
-        v0 = u0.copy()
 
-        def l2(u, t):
-            return l2_error_2d(kv, kv, u, lambda x, y: case.u(x, y, t), tables)
+    def outer(v):
+        return functools.reduce(np.multiply.outer, [v] * dim).ravel()
 
-        def h1(u, t):
-            return h1_seminorm_error_2d(
-                kv, kv, u, lambda x, y: case.u_x(x, y, t), lambda x, y: case.u_y(x, y, t), tables
-            )
+    f_load = case.f_const * outer(assemble_load(kv, rule, case.load))
+    u0 = outer(initial_coefficients(kv, rule, case.start, init))
+    kvs, tables = [kv] * dim, [element_tables(kv, rule, 1)] * dim  # shared by every sample
 
     def load(t):
-        return f_load * case.f_time(t)
+        return f_load * np.exp(t)
 
-    state0 = initial_state(solve, apply_K, load(0.0), u0, v0)
+    def l2(u, t):
+        norm = l2_error if dim == 1 else l2_error_2d
+        return norm(*kvs, u, lambda *xs: case.u(*xs, t), tables)
+
+    def h1(u, t):
+        norm = h1_seminorm_error if dim == 1 else h1_seminorm_error_2d
+        grads = [lambda *xs, a=a: case.grad(a, *xs, t) for a in range(dim)]
+        return norm(*kvs, u, *grads, tables)
+
+    state0 = initial_state(solve, apply_K, load(0.0), u0, u0.copy())  # u_t(x, 0) = u(x, 0)
     return solve, apply_K, load, state0, l2, h1
 
 
@@ -274,7 +287,7 @@ def convergence_space(
     workers=4,
 ):
     """Mesh-refinement study rows with pairwise observed rates per degree."""
-    _check_run(dim, kappa, T, [n_steps])
+    _check_run(dim, kappa, degrees, T, [n_steps])
     _check_distinct("degrees", degrees)
     _check_distinct("elements", elements)
     cells = sorted((p, N) for p in degrees for N in elements)
@@ -308,7 +321,7 @@ def convergence_time(
 ):
     """Step-refinement study at a fixed fine mesh; rates are in tau."""
     steps_list = sorted(int(s) for s in steps_list)
-    _check_run(1, kappa, T, steps_list, "steps_list")
+    _check_run(1, kappa, [p], T, steps_list, "steps_list")
     _check_distinct("steps_list", steps_list)
 
     def one(n_steps):
@@ -332,6 +345,7 @@ def stability_region(
     """Critical steps of both discretizations over a rho grid."""
     if rho_values is None:
         rho_values = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)
+    _check_degrees([p], kappa)
     d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     lam = top_eigenvalue(d.K, d.M)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
@@ -368,7 +382,7 @@ def solve_mms(
     Returns (rows, blew_up); rows hold (step, t, l2_error) every `stride`
     steps, including step 0 and the stopping step.
     """
-    _check_run(dim, kappa, T, [n_steps])
+    _check_run(dim, kappa, [p], T, [n_steps])
     if stride is None:
         stride = max(1, n_steps // 200)
     if stride < 1:
@@ -399,6 +413,7 @@ def free_run(p, N, rho, tau_factor, n_steps, kappa="one", variant="endpoint", se
     the empirical side of the stability analysis: below the critical step
     the run stays bounded, above it the blow-up flag fires quickly.
     """
+    _check_degrees([p], kappa)
     d = build_1d(p, N, kappa, variant)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
     params = params_from_rho(rho)

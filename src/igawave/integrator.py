@@ -4,11 +4,10 @@ Cost model: one mass solve per step is the whole cost of the scheme.  A
 step of `integrate` is one load evaluation, one stiffness apply, one banded
 (or per-axis) mass solve and a fixed handful of in-place vector updates on
 buffers allocated once per run, plus a max-abs scan for blow-up; nothing
-else grows with the number of steps.  At p = 5, N = 40 (43 unknowns) a step
-takes about 25 us on 2 shared cores, where the solve and the apply take
-about 3 us each and the rest is the fixed cost of a dozen numpy calls; at
-n = 1003 the dense stiffness apply (about 0.4 ms) outweighs the banded
-solve (about 0.03 ms).  `step` is the allocating single-step reference that
+else grows with the number of steps.  On small meshes the fixed cost of a
+dozen numpy calls outweighs the solve and the apply; at n = 1003 the dense
+stiffness apply outweighs the banded solve.  `benchmarks/test_layers.py`
+times both sizes.  `step` is the allocating single-step reference that
 `integrate` reproduces bit for bit.
 
 The update family is parametrized by rho in [0, 1], which controls

@@ -1,9 +1,11 @@
 """Manufactured solutions, projections, and discretization-error norms.
 
-The exact solution is e^t sin(3 pi x) in 1D (both diffusion coefficients)
-and e^t sin(3 pi x) sin(3 pi y) in 2D with unit coefficient.  Both have
-separable forcing f(x, t) = e^t * f_space(x), so load vectors are assembled
-once and scaled per step inside time loops.
+One manufactured problem serves every dimension: u = e^t prod_i sin(3 pi x_i)
+on [0, 1]^dim, with coefficient 'one', or in 1D also 'exp'.  Its forcing is
+separable, f = f_const * e^t * prod_i load(x_i), so a load vector is
+f_const times the outer product of one 1D load vector per axis, assembled
+once and scaled per step inside time loops; the start state is likewise
+the outer product of the projections of sin(3 pi x).
 
 The error norms are sum-factorized (Antolin, Buffa, Calabro, Martinelli &
 Sangalli, CMAME 284, 2015): the coefficient tensor is contracted one axis
@@ -17,6 +19,7 @@ takes a quadrature rule or, for many samples on one mesh, the list of each
 axis's element_tables(kv, rule, 1), built once by the caller.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,10 +28,8 @@ from .assembly_1d import assemble_load, assemble_mass, element_tables, kappa_var
 from .spline_basis import eval_basis_many, greville_points
 
 __all__ = [
-    "ManufacturedCase1D",
-    "ManufacturedCase2D",
-    "case_1d",
-    "case_2d",
+    "ManufacturedCase",
+    "manufactured_case",
     "initial_coefficients",
     "l2_error",
     "h1_seminorm_error",
@@ -41,81 +42,62 @@ W = 3.0 * np.pi
 
 
 @dataclass(frozen=True)
-class ManufacturedCase1D:
-    """Closed-form u, its derivatives, coefficient, and separable forcing."""
+class ManufacturedCase:
+    """u = e^t prod_i sin(W x_i) and f = f_const e^t prod_i load(x_i).
 
-    kappa: object
-    u: object = field(repr=False)
-    u_x: object = field(repr=False)
-    f_space: object = field(repr=False)
-
-    @staticmethod
-    def f_time(t):
-        return np.exp(t)
-
-    def f(self, x, t):
-        return np.exp(t) * self.f_space(x)
-
-
-@dataclass(frozen=True)
-class ManufacturedCase2D:
-    """Tensor-product manufactured solution with unit coefficient.
-
-    The forcing is f_const * e^t * profile(x) * profile(y), so its load
-    vector is an outer product of two 1D sine loads.
+    u, grad and f take one coordinate per axis and then t.  Their products
+    run left to right, starting from the time factor.
     """
 
+    dim: int
+    kappa: object
     f_const: float
+    load: object = field(repr=False)
 
     @staticmethod
-    def profile(x):
+    def start(x):
+        """The per-axis profile of u at t = 0 (and of u_t, since u_t = u)."""
         return np.sin(W * x)
 
-    def u(self, x, y, t):
-        return np.exp(t) * np.sin(W * x) * np.sin(W * y)
+    def u(self, *xt):
+        return math.prod((np.sin(W * x) for x in xt[:-1]), start=np.exp(xt[-1]))
 
-    def u_x(self, x, y, t):
-        return np.exp(t) * W * np.cos(W * x) * np.sin(W * y)
+    def grad(self, axis, *xt):
+        """The partial derivative of u along axis."""
+        return math.prod(
+            (np.cos(W * x) if i == axis else np.sin(W * x) for i, x in enumerate(xt[:-1])),
+            start=np.exp(xt[-1]) * W,
+        )
 
-    def u_y(self, x, y, t):
-        return np.exp(t) * W * np.sin(W * x) * np.cos(W * y)
-
-    def f(self, x, y, t):
-        return self.f_const * np.exp(t) * np.sin(W * x) * np.sin(W * y)
-
-    @staticmethod
-    def f_time(t):
-        return np.exp(t)
+    def f(self, *xt):
+        return math.prod((self.load(x) for x in xt[:-1]), start=self.f_const * np.exp(xt[-1]))
 
 
-def case_1d(kappa="one"):
-    """Manufactured 1D case for coefficient 'one' or 'exp'."""
+def manufactured_case(kappa="one", dim=1):
+    """The manufactured case on [0, 1]^dim for coefficient 'one' or, in 1D, 'exp'.
+
+    In 1D the load profile is the whole spatial forcing and f_const is 1;
+    with unit coefficient in more dimensions f = (1 + dim W^2) u.
+    """
     coeff = kappa_variant(kappa) if isinstance(kappa, str) else kappa
-
-    def u(x, t):
-        return np.exp(t) * np.sin(W * x)
-
-    def u_x(x, t):
-        return np.exp(t) * W * np.cos(W * x)
-
+    if coeff.name not in ("one", "exp"):
+        raise ValueError(f"no manufactured forcing for coefficient {coeff.name!r}")
+    if dim < 1 or (dim > 1 and coeff.name != "one"):
+        raise ValueError(f"no manufactured {coeff.name!r} case in dim={dim!r}")
+    if dim > 1:
+        return ManufacturedCase(dim, coeff, 1.0 + dim * W**2, ManufacturedCase.start)
     if coeff.name == "one":
 
-        def f_space(x):
+        def load(x):
             return (1.0 + W**2) * np.sin(W * x)
 
-    elif coeff.name == "exp":
+    else:
         # f = u_tt - (kappa u')' with kappa' = (1 - 2x) kappa.
-        def f_space(x):
+        def load(x):
             k = coeff(x)
             return np.sin(W * x) * (1.0 + W**2 * k) - W * (1.0 - 2.0 * x) * k * np.cos(W * x)
 
-    else:
-        raise ValueError(f"no manufactured forcing for coefficient {coeff.name!r}")
-    return ManufacturedCase1D(kappa=coeff, u=u, u_x=u_x, f_space=f_space)
-
-
-def case_2d():
-    return ManufacturedCase2D(f_const=1.0 + 2.0 * W**2)
+    return ManufacturedCase(1, coeff, 1.0, load)
 
 
 def initial_coefficients(kv, rule, fn, method="project"):

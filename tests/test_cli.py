@@ -249,12 +249,32 @@ def test_space_mode_needs_two_element_counts(tmp_path, capsys):
     (["convergence", "--degrees", "3", "--elements", "10,10", "--steps", "200"], "elements"),
     (["convergence", "--degrees", "3,3", "--elements", "5,10", "--steps", "200"], "degrees"),
     (["convergence", "--mode", "time", "--elements", "20", "--steps", "1000,1000"], "steps_list"),
+    (["spectrum", "--degrees", "3", "--elements", "10,10"], "elements"),
+    (["spectrum", "--degrees", "3,3", "--elements", "10"], "degrees"),
 ])
 def test_repeated_list_entry_exits_2(tmp_path, capsys, argv, name):
-    # a repeated entry would give a 0/0 rate
+    # a repeated entry would give a 0/0 rate, or a repeated spectrum row
     rc = main(argv + ["--workers", "1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert f"{name} must not repeat an entry" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+# Assembly takes p + 1 Gauss points (p + 3 with a variable coefficient), and
+# the manufactured runs p + 3; the table holds rules of 1 to 16 points.
+@pytest.mark.parametrize("argv, degree, top", [
+    (["spectrum", "--degrees", "40"], 40, 15),
+    (["spectrum", "--degrees", "3,16"], 16, 15),
+    (["spectrum", "--degrees", "14", "--kappa", "exp"], 14, 13),
+    (["stability-region", "--degrees", "16"], 16, 15),
+    (["solve", "--degrees", "14"], 14, 13),
+    (["convergence", "--degrees", "14", "--elements", "4,8"], 14, 13),
+])
+def test_degree_beyond_the_quadrature_table_exits_2(tmp_path, capsys, argv, degree, top):
+    rc = main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"degrees must lie in 1..{top} in this run, got {degree}" in err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -66,6 +66,13 @@ def test_blow_up_in_a_worker_reaches_the_caller():
     ("convergence_space", {"degrees": [3], "elements": [10, 10], "n_steps": 200}, "elements"),
     ("convergence_space", {"degrees": [3, 3], "elements": [5, 10], "n_steps": 200}, "degrees"),
     ("convergence_time", {"steps_list": [1000, 1000], "N": 20}, "steps_list"),
+    ("spectrum_table", {"degrees": [3], "elements": [10, 10]}, "elements"),
+    ("spectrum_table", {"degrees": [3, 3], "elements": [10]}, "degrees"),
+    ("spectrum_table", {"degrees": [3, 16], "elements": [10]}, "degrees"),
+    ("stability_region", {"p": 16}, "degrees"),
+    ("solve_mms", {"p": 14}, "degrees"),
+    ("convergence_time", {"steps_list": [10, 20], "p": 14}, "degrees"),
+    ("free_run", {"p": 16, "N": 10, "rho": 1.0, "tau_factor": 0.5, "n_steps": 1}, "degrees"),
 ])
 def test_run_arguments_checked_before_any_work(study, kwargs, argument):
     with pytest.raises(ValueError, match=rf"^{argument} must"):

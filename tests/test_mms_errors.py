@@ -1,7 +1,9 @@
-"""Manufactured cases (forcing consistency, traces), projection starts, and
+"""The manufactured case (forcing consistency, traces), projection starts, and
 the error-norm routines checked against quadratic-form oracles and against
 plain loops over elements.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,13 +16,12 @@ from igawave.assembly_1d import (
 )
 from igawave.mms_errors import (
     _tensor_error,
-    case_1d,
-    case_2d,
     h1_seminorm_error,
     h1_seminorm_error_2d,
     initial_coefficients,
     l2_error,
     l2_error_2d,
+    manufactured_case,
     observed_rates,
 )
 from igawave.quadrature import gauss_legendre
@@ -29,49 +30,46 @@ from igawave.spline_basis import open_uniform_knots
 ONE = kappa_variant("one")
 
 
-def test_forcing_matches_pde_1d():
-    """f must equal u_tt - (kappa u_x)_x; the flux divergence is checked by
-    central differences, so the tolerance reflects an O(h^2) remainder."""
-    h = 1e-4
+@pytest.mark.parametrize("kappa, dim", [("one", 1), ("exp", 1), ("one", 2)])
+def test_forcing_matches_pde(kappa, dim):
+    """f must equal u_tt - div(kappa grad u); the divergence is checked by
+    central differences of the flux, so the tolerance reflects an O(h^2)
+    remainder."""
+    h, tol = (1e-4, dict(atol=2e-5)) if dim == 1 else (1e-3, dict(rtol=1e-4))
     rng = np.random.default_rng(31)
-    for name in ("one", "exp"):
-        case = case_1d(name)
-        x = rng.uniform(h, 1 - h, size=100)
-        t = rng.uniform(0.0, 1.0, size=100)
-        u_tt = case.u(x, t)  # time factor e^t makes u_tt = u
-        flux = lambda z: case.kappa(z) * case.u_x(z, t)
-        div = (flux(x + h) - flux(x - h)) / (2 * h)
-        np.testing.assert_allclose(u_tt - div, case.f(x, t), atol=2e-5)
-
-
-def test_forcing_matches_pde_2d():
-    h = 1e-3
-    rng = np.random.default_rng(32)
-    case = case_2d()
-    x, y = rng.uniform(h, 1 - h, size=(2, 100))
+    case = manufactured_case(kappa, dim)
+    xs = list(rng.uniform(h, 1 - h, size=(dim, 100)))
     t = rng.uniform(0.0, 1.0, size=100)
-    lap = (
-        case.u(x + h, y, t) + case.u(x - h, y, t)
-        + case.u(x, y + h, t) + case.u(x, y - h, t)
-        - 4 * case.u(x, y, t)
-    ) / h**2
-    np.testing.assert_allclose(case.u(x, y, t) - lap, case.f(x, y, t), rtol=1e-4)
+    u_tt = case.u(*xs, t)  # time factor e^t makes u_tt = u
+
+    def flux(axis, shift):
+        ys = list(xs)
+        ys[axis] = xs[axis] + shift
+        return case.kappa(ys[axis]) * case.grad(axis, *ys, t)
+
+    div = sum((flux(a, h) - flux(a, -h)) / (2 * h) for a in range(dim))
+    np.testing.assert_allclose(u_tt - div, case.f(*xs, t), **tol)
+
+
+def test_no_variable_coefficient_case_beyond_1d():
+    with pytest.raises(ValueError):
+        manufactured_case("exp", 2)
 
 
 def test_forcing_is_separable():
-    case = case_1d("exp")
+    case = manufactured_case("exp")
     x = np.linspace(0, 1, 7)
     for t in (0.0, 0.37, 1.0):
-        np.testing.assert_allclose(case.f(x, t), np.exp(t) * case.f_space(x), rtol=1e-15)
-    assert case.f_time(0.5) == pytest.approx(np.exp(0.5))
+        np.testing.assert_allclose(case.f(x, t), np.exp(t) * case.load(x), rtol=1e-15)
+    assert case.f(0.3, 0.5) == pytest.approx(np.exp(0.5) * case.f(0.3, 0.0))
 
 
 def test_exact_solution_vanishes_on_boundary():
-    case = case_1d("one")
+    case = manufactured_case("one")
     for t in (0.0, 1.0):
         assert abs(case.u(0.0, t)) < 1e-12
         assert abs(case.u(1.0, t)) < 1e-12
-    c2 = case_2d()
+    c2 = manufactured_case("one", 2)
     s = np.linspace(0, 1, 9)
     for edge in (c2.u(0.0, s, 1.0), c2.u(1.0, s, 1.0), c2.u(s, 0.0, 1.0), c2.u(s, 1.0, 1.0)):
         np.testing.assert_allclose(edge, 0.0, atol=1e-12)
@@ -80,28 +78,28 @@ def test_exact_solution_vanishes_on_boundary():
 def test_zero_coefficients_give_exact_norms_1d():
     # With all coefficients zero the "error" is the norm of sin(3 pi x):
     # L2 norm 1/sqrt(2), H1 seminorm 3 pi / sqrt(2).
-    case = case_1d("one")
+    case = manufactured_case("one")
     kv = open_uniform_knots(3, 20)
     rule = gauss_legendre(6)
     zeros = np.zeros(kv.interior_dim)
     assert l2_error(kv, zeros, lambda x: case.u(x, 0.0), rule) == pytest.approx(
         1.0 / np.sqrt(2.0), rel=1e-8
     )
-    assert h1_seminorm_error(kv, zeros, lambda x: case.u_x(x, 0.0), rule) == pytest.approx(
+    assert h1_seminorm_error(kv, zeros, lambda x: case.grad(0, x, 0.0), rule) == pytest.approx(
         3.0 * np.pi / np.sqrt(2.0), rel=1e-8
     )
 
 
 def test_zero_coefficients_give_exact_norms_2d():
-    case = case_2d()
+    case = manufactured_case("one", 2)
     kv = open_uniform_knots(3, 12)
     rule = gauss_legendre(6)
     zeros = np.zeros(kv.interior_dim**2)
     l2 = l2_error_2d(kv, kv, zeros, lambda x, y: case.u(x, y, 0.0), rule)
     h1 = h1_seminorm_error_2d(
         kv, kv, zeros,
-        lambda x, y: case.u_x(x, y, 0.0),
-        lambda x, y: case.u_y(x, y, 0.0),
+        lambda x, y: case.grad(0, x, y, 0.0),
+        lambda x, y: case.grad(1, x, y, 0.0),
         rule,
     )
     assert l2 == pytest.approx(0.5, rel=1e-8)
@@ -173,22 +171,22 @@ def _loop_error_2d(kvx, kvy, coeffs, exact, rule, dx, dy):
 def test_error_norms_1d_equal_the_element_loop_bit_for_bit(p, kappa):
     """The 1D CLI outputs are pinned to the loop's reduction order, so the
     norms must be equal, not close."""
-    case = case_1d(kappa)
+    case = manufactured_case(kappa)
     rule = gauss_legendre(p + 3)
     rng = np.random.default_rng(100 + p)
-    flux = lambda x: case.kappa(x) * case.u_x(x, 0.3)
+    flux = lambda x: case.kappa(x) * case.grad(0, x, 0.3)
     for N in (2, 3, 7, 40):
         kv = open_uniform_knots(p, N)
         c = rng.standard_normal(kv.interior_dim)
-        assert l2_error(kv, c, case.f_space, rule) == _loop_error_1d(kv, c, case.f_space, rule, 0)
+        assert l2_error(kv, c, case.load, rule) == _loop_error_1d(kv, c, case.load, rule, 0)
         assert h1_seminorm_error(kv, c, flux, rule) == _loop_error_1d(kv, c, flux, rule, 1)
 
 
 @pytest.mark.parametrize("dx, dy", [(0, 0), (1, 0), (0, 1)])
 def test_error_2d_matches_the_element_pair_loop(dx, dy):
     """Different degrees and element counts per axis pin the axis order."""
-    case = case_2d()
-    exact = {(0, 0): case.u, (1, 0): case.u_x, (0, 1): case.u_y}[dx, dy]
+    case = manufactured_case("one", 2)
+    exact = {(0, 0): case.u, (1, 0): partial(case.grad, 0), (0, 1): partial(case.grad, 1)}[dx, dy]
     target = lambda x, y: exact(x, y, 0.4)
     rng = np.random.default_rng(79)
     for (px, Nx), (py, Ny) in [((2, 5), (4, 3)), ((5, 9), (3, 12))]:
@@ -215,7 +213,7 @@ def test_projection_reproduces_functions_in_the_space():
 
 
 def test_projection_is_near_best_for_smooth_targets():
-    case = case_1d("one")
+    case = manufactured_case("one")
     kv = open_uniform_knots(4, 16)
     rule = gauss_legendre(7)
     coeffs = initial_coefficients(kv, rule, lambda x: case.u(x, 0.0))
@@ -268,18 +266,18 @@ def test_observed_rates_validation():
 def test_error_norms_take_tables_built_once():
     """Tables from element_tables(kv, rule, 1), as a run builds them once,
     give the norms the rule gives them, bit for bit."""
-    case1, case2 = case_1d("exp"), case_2d()
+    case1, case2 = manufactured_case("exp"), manufactured_case("one", 2)
     for p, N in [(1, 3), (3, 7), (5, 40)]:
         kv = open_uniform_knots(p, N)
         rule = gauss_legendre(p + 3)
         tables = [element_tables(kv, rule, 1)]
         c = np.random.default_rng(p).standard_normal(kv.interior_dim)
-        u, ux = (lambda x: case1.u(x, 0.7)), (lambda x: case1.u_x(x, 0.7))
+        u, ux = (lambda x: case1.u(x, 0.7)), (lambda x: case1.grad(0, x, 0.7))
         assert l2_error(kv, c, u, tables) == l2_error(kv, c, u, rule)
         assert h1_seminorm_error(kv, c, ux, tables) == h1_seminorm_error(kv, c, ux, rule)
         c2 = np.random.default_rng(N).standard_normal(kv.interior_dim**2)
         u2 = lambda x, y: case2.u(x, y, 0.7)
-        ux2, uy2 = (lambda x, y: case2.u_x(x, y, 0.7)), (lambda x, y: case2.u_y(x, y, 0.7))
+        ux2, uy2 = (lambda x, y: case2.grad(0, x, y, 0.7)), (lambda x, y: case2.grad(1, x, y, 0.7))
         assert l2_error_2d(kv, kv, c2, u2, tables * 2) == l2_error_2d(kv, kv, c2, u2, rule)
         assert h1_seminorm_error_2d(kv, kv, c2, ux2, uy2, tables * 2) == h1_seminorm_error_2d(
             kv, kv, c2, ux2, uy2, rule)
