@@ -8,9 +8,15 @@ Outside the default test paths, so the test suite does not collect them.
 Add --benchmark-json=FILE to keep the numbers.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import igawave
 from igawave.cli import main
 from igawave.eigen import top_eigenvalue
 from igawave.experiments import build_1d, spectrum_table
@@ -135,3 +141,13 @@ def test_cli_defaults(benchmark, tmp_path, argv):
     out = tmp_path / "out.csv"
     assert benchmark.pedantic(main, args=(argv + ["--out", str(out)],),
                               rounds=3, iterations=1) == 0
+
+
+def test_cli_import_fresh_interpreter(benchmark):
+    """`import igawave.cli` in a new interpreter with one BLAS thread: the
+    start-up every command-line run pays before its first argument is read."""
+    env = dict(os.environ, PYTHONPATH=str(Path(igawave.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = [sys.executable, "-c", "import igawave.cli"]
+    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True},
+                       rounds=15, iterations=1, warmup_rounds=1)

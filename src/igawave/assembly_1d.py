@@ -20,9 +20,8 @@ The outlier-removal penalties come in two flavours:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 
+from ._lapack import NumericalFailure, dpbtrf, dpbtrs
 from .quadrature import map_to_element
 from .spline_basis import boundary_derivative_vectors, eval_basis_many
 
@@ -115,11 +114,18 @@ class BandedSymMatrix:
     def factor(self):
         """Banded Cholesky handle; solve() accepts one vector or a matrix of columns.
 
-        The matrix is checked for finite entries once, here; each solve is one
-        LAPACK dpbtrs call on the stored factor with no per-call scan, so a
-        non-finite right-hand side comes back as a non-finite solution.
+        The matrix is checked for finite entries once, here (ValueError); a
+        matrix that is not positive definite raises NumericalFailure.  Each
+        solve is one LAPACK dpbtrs call on the stored factor with no per-call
+        scan, so a non-finite right-hand side comes back as a non-finite
+        solution.
         """
-        cb = cholesky_banded(self.ab, lower=False)
+        cb, info = dpbtrf(np.asarray_chkfinite(self.ab))  # upper, the default
+        if info > 0:
+            raise NumericalFailure(f"banded Cholesky failed: leading minor of order {info} "
+                                   "is not positive definite")
+        if info < 0:
+            raise ValueError(f"dpbtrf rejected argument {-info}")
         n = self.n
 
         def solve(b):

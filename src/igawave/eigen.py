@@ -28,17 +28,13 @@ cannot get there raises NumericalFailure rather than returning a value.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+from ._lapack import NumericalFailure, dpbtrf, dpbtrs, dsygvd
 
 __all__ = ["NumericalFailure", "SpectrumResult", "PowerResult", "full_spectrum",
            "top_eigenvalue", "max_eigenvalue"]
 
 DENSE_LIMIT = 2000
-
-
-class NumericalFailure(RuntimeError):
-    """A solver or eigensolver failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -71,6 +67,9 @@ def full_spectrum(K, M):
     Kd, Md = (a if isinstance(a, np.ndarray) else a.to_dense() for a in (K, M))
     if Kd.shape[0] > DENSE_LIMIT:
         raise ValueError(f"dense route limited to {DENSE_LIMIT} unknowns, got {Kd.shape[0]}")
+    # Imported here: at module level it would double the CLI's start-up, which never calls this.
+    from scipy.linalg import eigh
+
     vals, vecs = eigh(Kd, Md)
     u = vecs[:, -1]
     mu = Md @ u
@@ -101,6 +100,17 @@ def _band_apply(rows, x):
     padded[:, u:-u or None] = x.T
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * u + 1, axis=1)
     return np.einsum("mnw,knw->mnk", rows, windows)
+
+
+def _ritz_vectors(A, B):
+    """Eigenvectors of the small pair (A, B), ascending, as scipy's eigh(A, B)
+    computes them: the same LAPACK routine (dsygvd) and triangle, the same
+    finiteness check (ValueError).  A B that is not positive definite raises
+    NumericalFailure."""
+    _, Y, info = dsygvd(np.asarray_chkfinite(A), np.asarray_chkfinite(B), uplo="L")
+    if info != 0:
+        raise NumericalFailure(f"Rayleigh-Ritz step failed with dsygvd INFO={info}")
+    return Y
 
 
 def _shift_above(kab, mab):
@@ -151,10 +161,7 @@ def top_eigenvalue(K, M):
     for _ in range(SWEEPS):
         Q, _ = np.linalg.qr(dpbtrs(factor, V)[0])  # (sigma M - K)^-1 V, orthonormalized
         KQ, MQ = _band_apply(rows, Q)
-        try:
-            _, Y = eigh(Q.T @ KQ, Q.T @ MQ)
-        except LinAlgError as err:
-            raise NumericalFailure("Rayleigh-Ritz step failed") from err
+        Y = _ritz_vectors(Q.T @ KQ, Q.T @ MQ)
         z = (Q @ Y[:, -1:]).astype(np.longdouble)
         kz, mz = _band_apply(rows_ext, z)[:, :, 0]
         last, value = value, (z[:, 0] @ kz) / (z[:, 0] @ mz)

@@ -110,8 +110,9 @@ def _process_map(fn, items, workers):
     pool initializer and is inherited by the fork, never pickled, so
     closures work; items and results are pickled.  Where
     fork is unavailable this is the serial map.  Not spawn: a spawned
-    worker imports numpy and scipy afresh, about 0.65 s on 2 cores, which
-    is longer than a whole default 2D study.
+    worker imports the library afresh, about 0.33 s on 2 cores (the
+    fresh-interpreter bench in benchmarks/test_layers.py), which is longer
+    than a whole default 2D study.
     """
     if workers <= 1 or len(items) <= 1:
         return _pool_map(fn, items, workers)

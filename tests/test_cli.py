@@ -347,3 +347,13 @@ def test_eigensolver_failure_exits_3(tmp_path, capsys, monkeypatch, workers):
     assert main(argv + ["--out", str(out)]) == 3
     assert "numerical failure: top eigenvalue did not settle" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_indefinite_mass_exits_3(tmp_path, capsys):
+    # At p=13 the penalized mass is numerically indefinite; the banded
+    # Cholesky fails on the order-5 leading minor.
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--degrees", "13", "--steps", "10", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: banded Cholesky failed: leading minor of order 5" in err
+    assert not out.exists()
