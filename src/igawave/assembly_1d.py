@@ -66,7 +66,9 @@ class Coefficient:
 
 
 def kappa_variant(name):
-    """Coefficient registry for the CLI names 'one' and 'exp'."""
+    """Coefficient registry for the CLI names 'one' and 'exp'; a Coefficient passes through."""
+    if isinstance(name, Coefficient):
+        return name
     if name == "one":
         return Coefficient("one", lambda x: np.ones_like(x), 1.0, 1.0, smooth_polynomial=True)
     if name == "exp":

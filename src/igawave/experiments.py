@@ -73,7 +73,7 @@ class Discretization1D:
 
 def build_1d(p, N, kappa="one", variant="endpoint", eta_a=1.0, eta_b=1.0):
     """Assemble the 1D interior operators for one (degree, elements) cell."""
-    coeff = kappa_variant(kappa) if isinstance(kappa, str) else kappa
+    coeff = kappa_variant(kappa)
     kv = open_uniform_knots(p, N)
     rule = rule_for_degree(p, coeff.smooth_polynomial)
     M = assemble_mass(kv, rule)
@@ -182,7 +182,7 @@ def _check_degrees(degrees, kappa, manufactured=False):
     Assembly takes p + 1 Gauss points, or p + 3 for a variable coefficient;
     the manufactured runs' loads and error norms take p + 3.
     """
-    coeff = kappa_variant(kappa) if isinstance(kappa, str) else kappa
+    coeff = kappa_variant(kappa)
     top = MAX_POINTS - (1 if coeff.smooth_polynomial and not manufactured else 3)
     for p in degrees:
         if not 1 <= p <= top:
@@ -359,7 +359,6 @@ def stability_region(
             "tau_c_tilde": c / np.sqrt(lam_t),
         }
 
-    # Serial: critical_omega holds the GIL, so threads would only add cost.
     return [one(rho) for rho in rho_values]
 
 
@@ -415,9 +414,13 @@ def free_run(p, N, rho, tau_factor, n_steps, kappa="one", variant="endpoint", se
     the run stays bounded, above it the blow-up flag fires quickly.
     """
     _check_degrees([p], kappa)
+    if not (math.isfinite(tau_factor) and tau_factor > 0.0):
+        raise ValueError(f"tau_factor must be finite and positive, got {tau_factor!r}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
+    params = params_from_rho(rho)
     d = build_1d(p, N, kappa, variant)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
-    params = params_from_rho(rho)
     tau = tau_factor * critical_omega(params) / np.sqrt(lam_t)
     solve = d.Mt.factor()
     rng = np.random.default_rng(seed)

@@ -20,15 +20,19 @@ comes out; the linear-in-tau form reproduces both the bound and the
 second-order convergence measured in the tests.
 
 The critical step is tau_c = C_rho / omega_max, where C_rho is the largest
-Omega = tau * omega for which the scalar amplification matrix has spectral
-radius at most 1.  C_1 = 2 exactly; C_0 = sqrt(2.4); the rest are found by
-bisection.  lambda = -1 is an exact eigenvalue of the amplification matrix
-along the rho = 1 family and at every critical point, where naive cubic
-root-finding loses about cbrt(eps) of accuracy; the spectral radius routine
-deflates that root when present, then solves the remaining quadratic in
-closed form so the bisection predicate stays sharp.
+Omega = tau * omega at which the scalar amplification matrix has spectral
+radius at most 1.  There lambda = -1 enters its spectrum: the characteristic
+polynomial at -1 is linear in Omega^2, with root 2 (2 alpha_m - 1) /
+(2 beta - gamma).  Along params_from_rho a factor (1 - rho) cancels, which
+leaves C_rho^2 = 12 (2 - rho)(1 + rho) / (rho^2 - 5 rho + 10), finite at
+rho = 1 where the unreduced form is 0/0: C_1 = 2 exactly, C_0 = sqrt(2.4),
+C_0.5 = sqrt(108/31).  lambda = -1 is an exact eigenvalue along the rho = 1
+family and at every critical point, where naive cubic root-finding is good
+to only about cbrt(eps); spectral_radius, the oracle the tests hold C_rho
+against, deflates that root when present.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +51,6 @@ __all__ = [
 ]
 
 BLOWUP_FACTOR = 1.0e6
-RADIUS_SLACK = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,8 @@ def integrate(state0, solve_M, apply_K, load, tau, n_steps, params, callback=Non
     The loop updates u, v and a in place with the same operations, in the
     same order and association, as `step`, so both give identical bits.
     """
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"tau must be finite and positive, got {tau!r}")
     if n_steps < 1:
         raise ValueError("need at least one step")
     uv = np.array([state0.u, state0.v], dtype=float)
@@ -183,8 +188,9 @@ def spectral_radius(G):
     """Largest root magnitude of the 3x3 characteristic polynomial.
 
     Deflates an (almost) exact root at -1 before falling back to the
-    companion solve, because the critical points of interest have -1 in the
-    spectrum and multiple-root sensitivity would blunt the bisection.
+    companion solve: the critical points of interest have -1 in the
+    spectrum, and the deflation keeps this oracle for critical_omega
+    accurate where -1 is a root.
     """
     c2 = G[0, 0] + G[1, 1] + G[2, 2]
     c1 = (
@@ -216,19 +222,7 @@ def spectral_radius(G):
     return float(np.max(np.abs(roots)))
 
 
-def critical_omega(params, tol=1e-8):
-    """Largest Omega in (0, 4] with spectral radius at most 1, by bisection."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    hi = 4.0
-    if spectral_radius(amplification_matrix(hi, params)) <= 1.0 + RADIUS_SLACK:
-        raise RuntimeError("no instability bracket below Omega = 4; unexpected parameter set")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if spectral_radius(amplification_matrix(mid, params)) <= 1.0 + RADIUS_SLACK:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
+def critical_omega(params):
+    """Largest Omega = tau * omega with spectral radius at most 1, in closed form."""
+    rho = params.rho
+    return math.sqrt(12.0 * (2.0 - rho) * (1.0 + rho) / (rho * rho - 5.0 * rho + 10.0))

@@ -79,7 +79,7 @@ def manufactured_case(kappa="one", dim=1):
     In 1D the load profile is the whole spatial forcing and f_const is 1;
     with unit coefficient in more dimensions f = (1 + dim W^2) u.
     """
-    coeff = kappa_variant(kappa) if isinstance(kappa, str) else kappa
+    coeff = kappa_variant(kappa)
     if coeff.name not in ("one", "exp"):
         raise ValueError(f"no manufactured forcing for coefficient {coeff.name!r}")
     if dim < 1 or (dim > 1 and coeff.name != "one"):

@@ -276,6 +276,12 @@ def test_coefficient_validation():
     assert np.all(EXP(x) <= EXP.upper + 1e-15)
 
 
+def test_kappa_variant_passes_a_coefficient_through():
+    custom = Coefficient("custom", lambda x: 1.0 + x, 1.0, 2.0)
+    assert kappa_variant(custom) is custom
+    assert kappa_variant(EXP) is EXP
+
+
 def test_smallest_eigenvalue_superconverges_to_pi_squared():
     """The fundamental eigenvalue converges to pi^2 at rate 2p."""
     from scipy.linalg import eigh

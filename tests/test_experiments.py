@@ -73,6 +73,12 @@ def test_blow_up_in_a_worker_reaches_the_caller():
     ("solve_mms", {"p": 14}, "degrees"),
     ("convergence_time", {"steps_list": [10, 20], "p": 14}, "degrees"),
     ("free_run", {"p": 16, "N": 10, "rho": 1.0, "tau_factor": 0.5, "n_steps": 1}, "degrees"),
+    ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": 0.0, "n_steps": 20}, "tau_factor"),
+    ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": -1.0, "n_steps": 20}, "tau_factor"),
+    ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": float("nan"), "n_steps": 20},
+     "tau_factor"),
+    ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": 0.5, "n_steps": 0}, "n_steps"),
+    ("free_run", {"p": 3, "N": 10, "rho": 1.5, "tau_factor": 0.5, "n_steps": 20}, "rho"),
 ])
 def test_run_arguments_checked_before_any_work(study, kwargs, argument):
     with pytest.raises(ValueError, match=rf"^{argument} must"):

@@ -153,6 +153,19 @@ def test_critical_omega_constants():
     )
 
 
+def test_critical_omega_closed_form_against_the_spectral_radius():
+    """C_rho sits on the stability boundary the amplification matrix draws:
+    radius 1 just below it, above 1 just above it, for 201 values of rho."""
+    for rho in np.linspace(0.0, 1.0, 201):
+        params = params_from_rho(rho)
+        c = critical_omega(params)
+        assert spectral_radius(amplification_matrix(c * (1 - 1e-9), params)) <= 1 + 1e-12, rho
+        assert spectral_radius(amplification_matrix(c * (1 + 1e-6), params)) > 1 + 1e-12, rho
+    assert critical_omega(params_from_rho(1.0)) == 2.0
+    assert critical_omega(params_from_rho(0.0)) == pytest.approx(np.sqrt(2.4), rel=1e-15)
+    assert critical_omega(params_from_rho(0.5)) == pytest.approx(np.sqrt(108 / 31), rel=1e-15)
+
+
 def test_critical_omega_monotone_in_rho():
     values = [critical_omega(params_from_rho(r)) for r in np.linspace(0, 1, 11)]
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
@@ -197,6 +210,14 @@ def test_integrate_validation():
         integrate(s0, solve_M, apply_K, zero_load, 0.1, 0, params_from_rho(0.5))
     with pytest.raises(ValueError):
         amplification_matrix(-0.1, params_from_rho(0.5))
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1, float("nan"), float("inf")])
+def test_integrate_rejects_a_step_that_is_not_finite_and_positive(tau):
+    solve_M, apply_K = scalar_ops(1.0)
+    s0 = initial_state(solve_M, apply_K, np.zeros(1), np.ones(1), np.zeros(1))
+    with pytest.raises(ValueError, match="^tau must be finite and positive"):
+        integrate(s0, solve_M, apply_K, zero_load, tau, 5, params_from_rho(0.5))
 
 
 def banded_problem(p, dim, penalized, N=5):
