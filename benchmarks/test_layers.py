@@ -95,12 +95,33 @@ def test_integrate_1000_steps_p5_n40(benchmark):
     assert not res.blew_up and res.steps_completed == STEPS
 
 
+def test_to_dense_n1004(benchmark):
+    """The dense view of free_run's penalized stiffness, built afresh each round."""
+    K = build_1d(6, 1000).Kt
+
+    def clear():
+        K._dense = None
+
+    dense = benchmark.pedantic(K.to_dense, setup=clear, rounds=50, iterations=1)
+    assert dense.shape == (1004, 1004)
+
+
+def kron_2d(p, N):
+    d = build_1d(p, N)
+    mass, stiff = build_tensor_operators([(d.Mt, d.Kt)] * 2)
+    stiff.matvec(np.zeros(stiff.total_dim))  # one apply outside the timing
+    return mass, stiff, np.random.default_rng(0).standard_normal(mass.total_dim)
+
+
 @pytest.fixture(scope="module")
 def kron_p5_n64():
-    d = build_1d(5, 64)
-    mass, stiff = build_tensor_operators([(d.Mt, d.Kt)] * 2)
-    stiff.matvec(np.zeros(stiff.total_dim))  # dense axis copies built outside the timing
-    return mass, stiff, np.random.default_rng(0).standard_normal(mass.total_dim)
+    return kron_2d(5, 64)
+
+
+@pytest.fixture(scope="module")
+def kron_p3_n4():
+    """A small grid, where the per-call bookkeeping is most of an apply or solve."""
+    return kron_2d(3, 4)
 
 
 def test_kron_stiffness_apply_2d_n64(benchmark, kron_p5_n64):
@@ -110,6 +131,16 @@ def test_kron_stiffness_apply_2d_n64(benchmark, kron_p5_n64):
 
 def test_kron_mass_solve_2d_n64(benchmark, kron_p5_n64):
     mass, _, x = kron_p5_n64
+    assert benchmark(kron_mass_factor(mass), x).shape == x.shape
+
+
+def test_kron_stiffness_apply_2d_n4(benchmark, kron_p3_n4):
+    _, stiff, x = kron_p3_n4
+    assert benchmark(stiff.matvec, x).shape == x.shape
+
+
+def test_kron_mass_solve_2d_n4(benchmark, kron_p3_n4):
+    mass, _, x = kron_p3_n4
     assert benchmark(kron_mass_factor(mass), x).shape == x.shape
 
 

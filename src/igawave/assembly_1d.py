@@ -4,7 +4,9 @@ All matrices live on the interior degrees of freedom by default: the two
 basis functions supported on the boundary are removed, which is exactly the
 homogeneous Dirichlet condition for open knot vectors.  Storage is banded
 symmetric (upper form, bandwidth p) with a cached dense view that the small
-dense eigensolves and matvecs use.
+dense eigensolves and matvecs use, written from the band in one pass with
+no second n-by-n temporary.  Assembly takes a quadrature rule or, to share
+one basis evaluation on a mesh, that rule's element_tables result.
 
 The outlier-removal penalties come in two flavours:
 
@@ -93,9 +95,11 @@ class BandedSymMatrix:
         if self._dense is None:
             u, n = self.bandwidth, self.n
             a = np.zeros((n, n))
-            for d in range(u + 1):  # entry (i, i + d) is ab[u - d, i + d]
-                a[np.arange(n - d), np.arange(d, n)] = self.ab[u - d, d:]
-            a += np.triu(a, 1).T
+            flat = a.reshape(-1)  # a view; entry (i, j) sits at i * n + j
+            for d in range(u + 1):  # entries (i, i + d) and (i + d, i) are ab[u - d, i + d]
+                v = self.ab[u - d, d:] + 0.0  # a stored -0.0 reads +0.0, on both sides
+                flat[d :: n + 1][: n - d] = v
+                flat[d * n :: n + 1] = v
             a.setflags(write=False)
             self._dense = a
         return self._dense
@@ -165,7 +169,7 @@ def _assemble_product(kv, rule, deriv, coeff=None, interior=True):
     # Generic  integral of c(x) B_k^(d) B_l^(d)  over all elements, written
     # straight into upper banded storage.
     p = kv.p
-    xs, ws, firsts, vals = element_tables(kv, rule, deriv)
+    xs, ws, firsts, vals = rule if isinstance(rule, tuple) else element_tables(kv, rule, deriv)
     wq, v = ws if coeff is None else ws * coeff(xs), vals[:, :, deriv, :]
     local = np.einsum("eq,eqa,eqb->eab", wq, v, v)  # one call, sums over q in order
     # Entry (first + a, first + b) of an element lands in ab[p + a - b, first + b];
@@ -193,9 +197,11 @@ def assemble_stiffness(kv, rule, coeff, interior=True):
 def assemble_load(kv, rule, f, interior=True):
     """Load vector F_k = ∫ f(x) B_k(x) dx for a callable f of x."""
     p = kv.p
+    xs, ws, firsts, vals = rule if isinstance(rule, tuple) else element_tables(kv, rule, 0)
+    values = np.ascontiguousarray(vals[:, :, 0, :])  # a strided block can round differently
     full = np.zeros(kv.dim)
-    for x, w, first, v in zip(*element_tables(kv, rule, 0)):
-        full[first : first + p + 1] += (w * f(x)) @ v[:, 0, :]
+    for x, w, first, v in zip(xs, ws, firsts, values):
+        full[first : first + p + 1] += (w * f(x)) @ v
     return full[1:-1] if interior else full
 
 

@@ -76,8 +76,9 @@ def build_1d(p, N, kappa="one", variant="endpoint", eta_a=1.0, eta_b=1.0):
     coeff = kappa_variant(kappa)
     kv = open_uniform_knots(p, N)
     rule = rule_for_degree(p, coeff.smooth_polynomial)
-    M = assemble_mass(kv, rule)
-    K = assemble_stiffness(kv, rule, coeff)
+    tables = element_tables(kv, rule, 1)  # one basis evaluation for both matrices
+    M = assemble_mass(kv, tables)
+    K = assemble_stiffness(kv, tables, coeff)
     Mt, Kt = penalized_forms(M, K, kv, variant, rule, eta_a, eta_b)
     return Discretization1D(kv=kv, M=M, K=K, Mt=Mt, Kt=Kt)
 
@@ -147,7 +148,7 @@ def spectrum_table(
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    if kappa != "one" and dim != 1:
+    if kappa_variant(kappa).name != "one" and dim != 1:
         raise ValueError("variable coefficient runs are 1D only")
     _check_degrees(degrees, kappa)
     _check_distinct("degrees", degrees)
@@ -193,7 +194,7 @@ def _check_run(dim, kappa, degrees, T, steps, name="n_steps"):
     """Reject what no manufactured-solution run can take, before any work."""
     if dim not in (1, 2):
         raise ValueError(f"manufactured-solution runs are 1D or 2D, got dim={dim!r}")
-    if kappa != "one" and dim != 1:
+    if kappa_variant(kappa).name != "one" and dim != 1:
         raise ValueError("variable coefficient runs are 1D only")
     _check_degrees(degrees, kappa, manufactured=True)
     if not (math.isfinite(T) and T > 0.0):
@@ -230,7 +231,7 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
     """
     d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     kv = d.kv
-    rule = gauss_legendre(p + 3)
+    table = element_tables(kv, gauss_legendre(p + 3), 1)  # loads, start state and norms
     case = manufactured_case(kappa, dim)
     M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
     if dim == 1:
@@ -242,9 +243,9 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
     def outer(v):
         return functools.reduce(np.multiply.outer, [v] * dim).ravel()
 
-    f_load = case.f_const * outer(assemble_load(kv, rule, case.load))
-    u0 = outer(initial_coefficients(kv, rule, case.start, init))
-    kvs, tables = [kv] * dim, [element_tables(kv, rule, 1)] * dim  # shared by every sample
+    f_load = case.f_const * outer(assemble_load(kv, table, case.load))
+    u0 = outer(initial_coefficients(kv, table, case.start, init))
+    kvs, tables = [kv] * dim, [table] * dim
 
     def load(t):
         return f_load * np.exp(t)
@@ -346,20 +347,15 @@ def stability_region(
     """Critical steps of both discretizations over a rho grid."""
     if rho_values is None:
         rho_values = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)
+    params = [params_from_rho(rho) for rho in rho_values]  # a bad rho fails before any work
     _check_degrees([p], kappa)
     d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     lam = top_eigenvalue(d.K, d.M)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
-
-    def one(rho):
-        c = critical_omega(params_from_rho(rho))
-        return {
-            "rho": float(rho),
-            "tau_c": c / np.sqrt(lam),
-            "tau_c_tilde": c / np.sqrt(lam_t),
-        }
-
-    return [one(rho) for rho in rho_values]
+    return [
+        {"rho": float(rho), "tau_c": c / np.sqrt(lam), "tau_c_tilde": c / np.sqrt(lam_t)}
+        for rho, c in zip(rho_values, map(critical_omega, params))
+    ]
 
 
 def solve_mms(

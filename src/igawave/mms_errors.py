@@ -103,8 +103,9 @@ def manufactured_case(kappa="one", dim=1):
 def initial_coefficients(kv, rule, fn, method="project"):
     """Interior coefficients approximating fn on the spline space.
 
-    'project' solves the plain-mass L2-projection; 'greville' interpolates
-    at the interior Greville abscissae.  fn must vanish at the boundary.
+    'project' solves the plain-mass L2-projection, on rule or on the
+    element_tables result of one; 'greville' interpolates at the interior
+    Greville abscissae.  fn must vanish at the boundary.
     """
     if method == "project":
         M = assemble_mass(kv, rule)

@@ -4,7 +4,9 @@ A d-dimensional operator is a sum of Kronecker products of 1D banded
 matrices and is never materialized: matrix-vector products sweep one axis
 at a time on the reshaped coefficient tensor, and the mass solve factors
 into one banded Cholesky solve per axis because the mass stays a single
-Kronecker product.
+Kronecker product.  An operator binds its dense axis factors and each
+axis's transpose orders when it is built, so an apply or a solve is only
+the per-axis matrix products or banded solves.
 
 C-order flattening everywhere: coefficient (i, j[, k]) lives at flat index
 (i * ny + j) * nz + k.
@@ -15,18 +17,22 @@ import numpy as np
 __all__ = ["KroneckerOperator", "build_tensor_operators", "kron_mass_factor"]
 
 
-def _along_axis(op, X, axis):
-    """Apply op, a map on (n, m) column blocks, along one axis of X.
+def _axis_layouts(dims):
+    """Per axis: the order that moves it first, the moved shape, and the order back.
 
-    The axis goes first, the others keep their order and flatten into the
-    columns, and the result is transposed back: the layout and the matrix
-    product that np.tensordot(f, X, axes=(1, axis)) uses, without its
-    bookkeeping.  The inverse of that order is (1, .., axis, 0, axis+1, ..).
+    An axis moved first, with the others in their order flattened into the
+    columns, is the layout and the matrix product that
+    np.tensordot(f, X, axes=(1, axis)) uses, without its bookkeeping.
     """
-    rest = range(axis + 1, X.ndim)
-    moved = X.transpose((axis, *range(axis), *rest))
-    Y = op(moved.reshape(X.shape[axis], -1)).reshape(moved.shape)
-    return Y.transpose((*range(1, axis + 1), 0, *rest))
+    orders = [(a, *range(a), *range(a + 1, len(dims))) for a in range(len(dims))]
+    return [(o, tuple(dims[i] for i in o), tuple(np.argsort(o))) for o in orders]
+
+
+def _sweep(maps, X, layouts):
+    """Apply maps[a], a map on (n_a, m) column blocks, along each axis a of X in turn."""
+    for fn, (order, shape, back) in zip(maps, layouts):
+        X = fn(X.transpose(order).reshape(shape[0], -1)).reshape(shape).transpose(back)
+    return X
 
 
 class KroneckerOperator:
@@ -43,6 +49,8 @@ class KroneckerOperator:
         self.terms = terms
         self.dims = dims
         self.total_dim = int(np.prod(dims))
+        self._layouts = _axis_layouts(dims)
+        self._applies = tuple(tuple(f.to_dense().__matmul__ for f in t) for t in terms)  # f @ Z
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)
@@ -50,11 +58,8 @@ class KroneckerOperator:
             raise ValueError(f"expected vector of length {self.total_dim}")
         X = x.reshape(self.dims)
         out = np.zeros_like(X)
-        for term in self.terms:
-            Y = X
-            for axis, f in enumerate(term):
-                Y = _along_axis(lambda Z: f.to_dense() @ Z, Y, axis)
-            out += Y
+        for maps in self._applies:
+            out += _sweep(maps, X, self._layouts)
         return out.reshape(-1)
 
     def to_dense(self):
@@ -104,12 +109,9 @@ def kron_mass_factor(mass):
     if len(mass.terms) != 1:
         raise ValueError("mass operator must be a single Kronecker product")
     solvers = [f.factor() for f in mass.terms[0]]
-    dims = mass.dims
+    dims, layouts = mass.dims, mass._layouts
 
     def solve(b):
-        X = np.asarray(b, dtype=float).reshape(dims)
-        for axis, sv in enumerate(solvers):
-            X = _along_axis(sv, X, axis)
-        return X.reshape(-1)
+        return _sweep(solvers, np.asarray(b, dtype=float).reshape(dims), layouts).reshape(-1)
 
     return solve

@@ -2,10 +2,13 @@
 and the algebraic properties the solvers rely on (symmetry, SPD, bands).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+import igawave.assembly_1d
 from igawave.assembly_1d import (
     BandedSymMatrix,
     Coefficient,
@@ -18,6 +21,7 @@ from igawave.assembly_1d import (
     kappa_variant,
     penalized_forms,
 )
+from igawave.experiments import build_1d
 from igawave.quadrature import gauss_legendre, map_to_element
 from igawave.spline_basis import boundary_derivative_vectors, eval_basis_many, open_uniform_knots
 
@@ -388,3 +392,56 @@ def test_batched_assembly_equals_the_element_loop(p):
                                           assemble_stiffness(kv, rule, coeff), kv, variant, rule)
                     for g, want in zip(got, penalized_forms(M, K, kv, variant, rule)):
                         np.testing.assert_array_equal(g.ab, want.ab)
+
+
+def triu_dense(B):
+    """The dense view as it used to be built: the upper band, then a += triu(a, 1).T."""
+    u, n = B.bandwidth, B.n
+    a = np.zeros((n, n))
+    for d in range(u + 1):
+        a[np.arange(n - d), np.arange(d, n)] = B.ab[u - d, d:]
+    a += np.triu(a, 1).T
+    return a
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_dense_view_equals_the_triu_construction_bit_for_bit(p):
+    for N in (2, 5, 40, 1000):
+        for kappa in ("one", "exp"):
+            for variant in ("endpoint", "integral"):
+                d = build_1d(p, N, kappa, variant)
+                for B in (d.M, d.K, d.Mt, d.Kt):
+                    assert B.to_dense().tobytes() == triu_dense(B).tobytes()
+
+
+def test_dense_view_reads_a_stored_negative_zero_as_positive_zero():
+    B = BandedSymMatrix([[0.0, -0.0, 2.0, -0.0], [-0.0, 3.0, -0.0, 4.0]])
+    dense = B.to_dense()
+    assert dense.tobytes() == triu_dense(B).tobytes()
+    assert not np.signbit(dense).any()
+
+
+def test_dense_view_allocates_no_second_matrix():
+    B = build_1d(6, 1000).Kt  # n = 1004, no dense view built yet
+    tracemalloc.start()
+    try:
+        B.to_dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * B.n**2 * 8
+
+
+def test_build_1d_evaluates_its_gauss_point_table_once(monkeypatch):
+    """Mass and stiffness share one table; the endpoint penalty's two-point
+    evaluations go through spline_basis and are not counted here."""
+    calls = []
+    original = igawave.assembly_1d.eval_basis_many
+
+    def counted(kv, xs, max_deriv=0):
+        calls.append((len(xs), max_deriv))
+        return original(kv, xs, max_deriv)
+
+    monkeypatch.setattr(igawave.assembly_1d, "eval_basis_many", counted)
+    build_1d(5, 40)
+    assert calls == [(40 * 6, 1)]

@@ -83,3 +83,24 @@ def test_blow_up_in_a_worker_reaches_the_caller():
 def test_run_arguments_checked_before_any_work(study, kwargs, argument):
     with pytest.raises(ValueError, match=rf"^{argument} must"):
         getattr(ex, study)(**kwargs)
+
+
+def test_stability_region_checks_its_rho_grid_before_assembly(monkeypatch):
+    def build_1d(*args, **kwargs):
+        raise AssertionError("assembly ran before the rho grid was checked")
+
+    monkeypatch.setattr(ex, "build_1d", build_1d)
+    with pytest.raises(ValueError, match="^rho must"):
+        ex.stability_region(6, 2000, rho_values=[0.5, 1.5])
+
+
+def test_spectrum_table_takes_the_unit_coefficient_object_in_2d():
+    one = ex.kappa_variant("one")
+    rows = ex.spectrum_table([3], [10], dim=2, kappa=one, workers=1)
+    assert rows == ex.spectrum_table([3], [10], dim=2, workers=1)
+
+
+def test_convergence_space_takes_the_unit_coefficient_object_in_2d():
+    kwargs = dict(dim=2, T=0.05, n_steps=10, workers=1)
+    rows = ex.convergence_space([3], [4, 6], kappa=ex.kappa_variant("one"), **kwargs)
+    assert rows == ex.convergence_space([3], [4, 6], **kwargs)

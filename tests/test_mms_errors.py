@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from igawave.assembly_1d import (
+    assemble_load,
     assemble_mass,
     assemble_stiffness,
     element_tables,
@@ -24,7 +25,7 @@ from igawave.mms_errors import (
     manufactured_case,
     observed_rates,
 )
-from igawave.quadrature import gauss_legendre
+from igawave.quadrature import gauss_legendre, rule_for_degree
 from igawave.spline_basis import open_uniform_knots
 
 ONE = kappa_variant("one")
@@ -281,3 +282,25 @@ def test_error_norms_take_tables_built_once():
         assert l2_error_2d(kv, kv, c2, u2, tables * 2) == l2_error_2d(kv, kv, c2, u2, rule)
         assert h1_seminorm_error_2d(kv, kv, c2, ux2, uy2, tables * 2) == h1_seminorm_error_2d(
             kv, kv, c2, ux2, uy2, rule)
+
+
+@pytest.mark.parametrize("kappa", ["one", "exp"])
+@pytest.mark.parametrize("p", range(1, 8))
+def test_assembly_and_projection_take_tables_built_once(p, kappa):
+    """element_tables(kv, rule, 1), as build_1d and a run build them once,
+    gives what the rule gives, bit for bit."""
+    case = manufactured_case(kappa)
+    for N in (2, 40):
+        kv = open_uniform_knots(p, N)
+        for rule in (rule_for_degree(p, case.kappa.smooth_polynomial), gauss_legendre(p + 3)):
+            tables = element_tables(kv, rule, 1)
+            pairs = [
+                (assemble_mass(kv, tables).ab, assemble_mass(kv, rule).ab),
+                (assemble_stiffness(kv, tables, case.kappa).ab,
+                 assemble_stiffness(kv, rule, case.kappa).ab),
+                (assemble_load(kv, tables, case.load), assemble_load(kv, rule, case.load)),
+                (initial_coefficients(kv, tables, case.start),
+                 initial_coefficients(kv, rule, case.start)),
+            ]
+            for got, want in pairs:
+                assert got.tobytes() == want.tobytes()
