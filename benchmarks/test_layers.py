@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import igawave
+from igawave.assembly_1d import assemble_load, element_tables
 from igawave.cli import main
 from igawave.eigen import top_eigenvalue
 from igawave.experiments import build_1d, spectrum_table
@@ -43,6 +44,19 @@ def test_build_1d_p5(benchmark, N):
 
 def test_build_1d_p6_n1000(benchmark):
     assert benchmark(build_1d, 6, 1000).Mt.n == 1004
+
+
+def test_build_1d_integral_p7_n1000(benchmark):
+    """Three integral penalty levels, read from one Gauss-point table."""
+    assert benchmark(build_1d, 7, 1000, variant="integral").Mt.n == 1005
+
+
+def test_assemble_load_p5_n1000(benchmark):
+    """The manufactured load on the 8-point table that a run builds once."""
+    kv = open_uniform_knots(5, 1000)
+    tables = element_tables(kv, gauss_legendre(8), 1)
+    load = manufactured_case("one").load
+    assert benchmark(assemble_load, kv, tables, load).shape == (kv.interior_dim,)
 
 
 def test_spectrum_table_cell_n1000(benchmark):

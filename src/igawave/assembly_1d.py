@@ -5,8 +5,8 @@ basis functions supported on the boundary are removed, which is exactly the
 homogeneous Dirichlet condition for open knot vectors.  Storage is banded
 symmetric (upper form, bandwidth p) with a cached dense view that the small
 dense eigensolves and matvecs use, written from the band in one pass with
-no second n-by-n temporary.  Assembly takes a quadrature rule or, to share
-one basis evaluation on a mesh, that rule's element_tables result.
+no second n-by-n temporary.  Each integral is one basis table (from a rule,
+or a shared element_tables result), one batched product and one ordered scatter.
 
 The outlier-removal penalties come in two flavours:
 
@@ -195,13 +195,14 @@ def assemble_stiffness(kv, rule, coeff, interior=True):
 
 
 def assemble_load(kv, rule, f, interior=True):
-    """Load vector F_k = ∫ f(x) B_k(x) dx for a callable f of x."""
+    """Load vector F_k = ∫ f(x) B_k(x) dx for a callable f that acts elementwise."""
     p = kv.p
     xs, ws, firsts, vals = rule if isinstance(rule, tuple) else element_tables(kv, rule, 0)
     values = np.ascontiguousarray(vals[:, :, 0, :])  # a strided block can round differently
+    local = np.matmul((ws * f(xs))[:, None, :], values)[:, 0]
     full = np.zeros(kv.dim)
-    for x, w, first, v in zip(xs, ws, firsts, values):
-        full[first : first + p + 1] += (w * f(x)) @ v
+    for a in range(p, -1, -1):  # a downwards adds each entry's elements in order
+        full[firsts + a] += local[:, a]
     return full[1:-1] if interior else full
 
 
@@ -260,6 +261,8 @@ def penalized_forms(M, K, kv, variant="endpoint", rule=None, eta_a=1.0, eta_b=1.
     eta_b = _eta_tuple("eta_b", eta_b, nlevels)
     a, m, k = _H_POWERS[variant]
     h = kv.h
+    if variant == "integral" and nlevels and rule is not None:
+        rule = element_tables(kv, rule, 2 * nlevels)  # one table for every level
     Mt, Kt = M, K
     for ell, ea, eb in zip(range(1, nlevels + 1), eta_a, eta_b):
         P = assemble_penalty(kv, ell, variant, rule)

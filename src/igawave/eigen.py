@@ -57,20 +57,28 @@ class PowerResult:
     residual: float
 
 
+def _eigh(A, B):
+    """Eigenvalues and eigenvectors (w, V) of the dense pair (A, B), ascending,
+    as scipy's eigh(A, B) computes them: the same LAPACK routine (dsygvd) and
+    triangle, the same finiteness check (ValueError).  A B that is not
+    positive definite raises NumericalFailure."""
+    w, V, info = dsygvd(np.asarray_chkfinite(A), np.asarray_chkfinite(B), uplo="L")
+    if info != 0:
+        raise NumericalFailure(f"dense generalized eigensolve failed with dsygvd INFO={info}")
+    return w, V
+
+
 def full_spectrum(K, M):
     """All eigenvalues of K u = lambda M u by a dense symmetric solve.
 
     Accepts ndarrays or anything with a to_dense() method; refuses systems
     larger than 2000 unknowns, which top_eigenvalue or max_eigenvalue should
-    handle.
+    handle.  An M that is not positive definite raises NumericalFailure.
     """
     Kd, Md = (a if isinstance(a, np.ndarray) else a.to_dense() for a in (K, M))
     if Kd.shape[0] > DENSE_LIMIT:
         raise ValueError(f"dense route limited to {DENSE_LIMIT} unknowns, got {Kd.shape[0]}")
-    # Imported here: at module level it would double the CLI's start-up, which never calls this.
-    from scipy.linalg import eigh
-
-    vals, vecs = eigh(Kd, Md)
+    vals, vecs = _eigh(Kd, Md)
     u = vecs[:, -1]
     mu = Md @ u
     res = float(np.linalg.norm(Kd @ u - vals[-1] * mu) / np.linalg.norm(mu))
@@ -100,17 +108,6 @@ def _band_apply(rows, x):
     padded[:, u:-u or None] = x.T
     windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * u + 1, axis=1)
     return np.einsum("mnw,knw->mnk", rows, windows)
-
-
-def _ritz_vectors(A, B):
-    """Eigenvectors of the small pair (A, B), ascending, as scipy's eigh(A, B)
-    computes them: the same LAPACK routine (dsygvd) and triangle, the same
-    finiteness check (ValueError).  A B that is not positive definite raises
-    NumericalFailure."""
-    _, Y, info = dsygvd(np.asarray_chkfinite(A), np.asarray_chkfinite(B), uplo="L")
-    if info != 0:
-        raise NumericalFailure(f"Rayleigh-Ritz step failed with dsygvd INFO={info}")
-    return Y
 
 
 def _shift_above(kab, mab):
@@ -161,7 +158,7 @@ def top_eigenvalue(K, M):
     for _ in range(SWEEPS):
         Q, _ = np.linalg.qr(dpbtrs(factor, V)[0])  # (sigma M - K)^-1 V, orthonormalized
         KQ, MQ = _band_apply(rows, Q)
-        Y = _ritz_vectors(Q.T @ KQ, Q.T @ MQ)
+        _, Y = _eigh(Q.T @ KQ, Q.T @ MQ)
         z = (Q @ Y[:, -1:]).astype(np.longdouble)
         kz, mz = _band_apply(rows_ext, z)[:, :, 0]
         last, value = value, (z[:, 0] @ kz) / (z[:, 0] @ mz)

@@ -36,7 +36,7 @@ from .mms_errors import (
     manufactured_case,
     observed_rates,
 )
-from .quadrature import MAX_POINTS, gauss_legendre, rule_for_degree
+from .quadrature import MAX_POINTS, rule_for_degree
 from .spline_basis import open_uniform_knots
 from .tensor_ops import build_tensor_operators, kron_mass_factor
 
@@ -180,11 +180,12 @@ def spectrum_table(
 def _check_degrees(degrees, kappa, manufactured=False):
     """Reject a degree whose quadrature rule is not in the table, before any work.
 
-    Assembly takes p + 1 Gauss points, or p + 3 for a variable coefficient;
-    the manufactured runs' loads and error norms take p + 3.
+    rule_for_degree gives p + 3 points to a variable coefficient and to the
+    manufactured runs' loads, start states and norms, else p + 1; the top
+    degree is the one whose rule has MAX_POINTS points.
     """
-    coeff = kappa_variant(kappa)
-    top = MAX_POINTS - (1 if coeff.smooth_polynomial and not manufactured else 3)
+    smooth = kappa_variant(kappa).smooth_polynomial and not manufactured
+    top = MAX_POINTS + 1 - rule_for_degree(1, smooth).npoints
     for p in degrees:
         if not 1 <= p <= top:
             raise ValueError(f"degrees must lie in 1..{top} in this run, got {p}")
@@ -231,7 +232,7 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
     """
     d = build_1d(p, N, kappa, variant, eta_a, eta_b)
     kv = d.kv
-    table = element_tables(kv, gauss_legendre(p + 3), 1)  # loads, start state and norms
+    table = element_tables(kv, rule_for_degree(p, smooth_coefficient=False), 1)  # loads, u0, norms
     case = manufactured_case(kappa, dim)
     M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
     if dim == 1:

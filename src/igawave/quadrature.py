@@ -39,12 +39,12 @@ def gauss_legendre(n_q):
 
 
 def rule_for_degree(p, smooth_coefficient=True):
-    """Rule for assembling degree-p products.
+    """The one rule choice for integrals against degree-p splines.
 
-    p + 1 points integrate every polynomial integrand that appears with a
-    constant coefficient (degree at most 2p).  A non-polynomial coefficient
-    gets p + 3 points, which was enough to converge the spectra of interest
-    to below 1e-8 relative.
+    p + 1 points integrate every polynomial integrand with a constant
+    coefficient (degree at most 2p).  Any non-polynomial integrand, a variable
+    coefficient or the manufactured loads and norms, gets p + 3 points, which
+    converged the spectra of interest to below 1e-8 relative.
     """
     if p < 1:
         raise ValueError(f"degree must be >= 1, got {p}")

@@ -153,9 +153,7 @@ def eval_basis_many(kv, xs, max_deriv=0):
 
 def greville_points(kv):
     """Knot averages; one collocation abscissa per basis function."""
-    p, dim = kv.p, kv.dim
-    t = kv.knots
-    return np.array([t[i + 1 : i + p + 1].mean() for i in range(dim)])
+    return np.lib.stride_tricks.sliding_window_view(kv.knots[1:-1], kv.p).mean(axis=1)
 
 
 def boundary_derivative_vectors(kv, order):

@@ -22,7 +22,8 @@ from igawave.assembly_1d import (
     penalized_forms,
 )
 from igawave.experiments import build_1d
-from igawave.quadrature import gauss_legendre, map_to_element
+from igawave.mms_errors import manufactured_case
+from igawave.quadrature import MAX_POINTS, gauss_legendre, map_to_element
 from igawave.spline_basis import boundary_derivative_vectors, eval_basis_many, open_uniform_knots
 
 ONE = kappa_variant("one")
@@ -432,9 +433,9 @@ def test_dense_view_allocates_no_second_matrix():
     assert peak <= 1.05 * B.n**2 * 8
 
 
-def test_build_1d_evaluates_its_gauss_point_table_once(monkeypatch):
-    """Mass and stiffness share one table; the endpoint penalty's two-point
-    evaluations go through spline_basis and are not counted here."""
+@pytest.fixture
+def table_calls(monkeypatch):
+    """(point count, max_deriv) of each basis evaluation that assembly makes."""
     calls = []
     original = igawave.assembly_1d.eval_basis_many
 
@@ -443,5 +444,65 @@ def test_build_1d_evaluates_its_gauss_point_table_once(monkeypatch):
         return original(kv, xs, max_deriv)
 
     monkeypatch.setattr(igawave.assembly_1d, "eval_basis_many", counted)
+    return calls
+
+
+def test_build_1d_evaluates_its_gauss_point_table_once(table_calls):
+    """Mass and stiffness share one table; the endpoint penalty's two-point
+    evaluations go through spline_basis and are not counted here."""
     build_1d(5, 40)
-    assert calls == [(40 * 6, 1)]
+    assert table_calls == [(40 * 6, 1)]
+
+
+def test_integral_penalty_levels_share_one_gauss_point_table(table_calls):
+    """p=7 has levels 1..3 (derivative orders 2, 4, 6): one table up to
+    order 6 serves them all, after the mass and stiffness table."""
+    build_1d(7, 40, variant="integral")
+    assert table_calls == [(40 * 8, 1), (40 * 8, 6)]
+
+
+@pytest.mark.parametrize("p", range(3, 14))
+def test_integral_penalized_forms_equal_the_per_level_fold_bit_for_bit(p):
+    """penalized_forms reads every level from one table; the fold assembles
+    each level from the rule on its own, with the same weights."""
+    for N in (2, 5, 40, 1000):
+        kv = open_uniform_knots(p, N)
+        h = kv.h
+        for rule in (gauss_legendre(p + 1), gauss_legendre(p + 3)):
+            M, K = assemble_mass(kv, rule), assemble_stiffness(kv, rule, ONE)
+            Mt, Kt = M, K
+            for ell in range(1, alpha_of(p) + 1):
+                P = assemble_penalty(kv, ell, "integral", rule)
+                Mt = Mt.add_scaled(P, h ** (6 * ell - 1))
+                Kt = Kt.add_scaled(P, np.pi**2 * h ** (6 * ell - 3))
+            got = penalized_forms(M, K, kv, "integral", rule)
+            assert [g.ab.tobytes() for g in got] == [Mt.ab.tobytes(), Kt.ab.tobytes()]
+
+
+def looped_load(kv, tables, f):
+    """The per-element loop that the batched load replaced; interior entries."""
+    xs, ws, firsts, vals = tables
+    values = np.ascontiguousarray(vals[:, :, 0, :])
+    full = np.zeros(kv.dim)
+    for x, w, first, v in zip(xs, ws, firsts, values):
+        full[first : first + kv.p + 1] += (w * f(x)) @ v
+    return full[1:-1]
+
+
+LOADS = (np.ones_like, lambda x: x, np.sin, manufactured_case("one").load,
+         manufactured_case("exp").load)
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_load_equals_the_element_loop_bit_for_bit(p):
+    """One f call, one batched product and an ordered scatter give the loop's
+    bits, from a rule and from a table built once with derivatives."""
+    for N in (2, 3, 5, 7, 13, 40, 100, 1000):
+        kv = open_uniform_knots(p, N)
+        for npts in range(max(p - 1, 1), min(p + 4, MAX_POINTS) + 1):
+            rule = gauss_legendre(npts)
+            tables = element_tables(kv, rule, 1)
+            for f in LOADS:
+                want = looped_load(kv, tables, f).tobytes()
+                assert assemble_load(kv, rule, f).tobytes() == want
+                assert assemble_load(kv, tables, f).tobytes() == want

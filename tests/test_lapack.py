@@ -21,7 +21,7 @@ import igawave
 import igawave.eigen as eigen
 from igawave import _lapack
 from igawave.assembly_1d import BandedSymMatrix
-from igawave.eigen import NumericalFailure, top_eigenvalue
+from igawave.eigen import NumericalFailure, full_spectrum, top_eigenvalue
 from igawave.experiments import build_1d
 
 ROUTINES = ("dpbtrf", "dpbtrs", "dsygvd")
@@ -95,9 +95,12 @@ matrices = st.lists(spd_entries, min_size=9, max_size=9).map(lambda v: np.reshap
 
 @settings(max_examples=200, deadline=None)
 @given(matrices, matrices, st.floats(1e-3, 10.0))
-def test_ritz_vectors_are_scipy_eigh_bit_for_bit(a, g, shift):
+def test_eigh_is_scipy_eigh_bit_for_bit(a, g, shift):
     A, B = a + a.T, g @ g.T + shift * np.eye(3)
-    np.testing.assert_array_equal(eigen._ritz_vectors(A, B), scipy.linalg.eigh(A, B)[1])
+    w, V = eigen._eigh(A, B)
+    want_w, want_V = scipy.linalg.eigh(A, B)
+    np.testing.assert_array_equal(w, want_w)
+    np.testing.assert_array_equal(V, want_V)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7])
@@ -105,24 +108,42 @@ def test_ritz_vectors_of_the_pairs_top_eigenvalue_forms(monkeypatch, p):
     pairs = []
 
     def recorded(A, B):
-        pairs.append((A, B, ritz_vectors(A, B)))
+        pairs.append((A, B, eigh(A, B)))
         return pairs[-1][2]
 
-    ritz_vectors = eigen._ritz_vectors
-    monkeypatch.setattr(eigen, "_ritz_vectors", recorded)
+    eigh = eigen._eigh
+    monkeypatch.setattr(eigen, "_eigh", recorded)
     d = build_1d(p, 40)
     top_eigenvalue(d.Kt, d.Mt)
     assert len(pairs) >= 2
-    for A, B, Y in pairs:
-        np.testing.assert_array_equal(Y, scipy.linalg.eigh(A, B)[1])
+    for A, B, (w, V) in pairs:
+        want_w, want_V = scipy.linalg.eigh(A, B)
+        np.testing.assert_array_equal(w, want_w)
+        np.testing.assert_array_equal(V, want_V)
 
 
-def test_ritz_vectors_reject_an_indefinite_or_non_finite_pair():
+def test_eigh_rejects_an_indefinite_or_non_finite_pair():
     A = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(NumericalFailure, match="INFO=5"):  # n + 2: order-2 minor of B
-        eigen._ritz_vectors(A, np.diag([1.0, -1.0, 1.0]))
+        eigen._eigh(A, np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError, match="infs or NaNs"):
-        eigen._ritz_vectors(A, np.diag([1.0, np.nan, 1.0]))
+        eigen._eigh(A, np.diag([1.0, np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("p", range(1, 8))
+def test_full_spectrum_is_scipy_eigh_bit_for_bit(p):
+    for N in (2, 5, 20, 80):
+        for kappa in ("one", "exp"):
+            for variant in ("endpoint", "integral"):
+                d = build_1d(p, N, kappa, variant)
+                for K, M in ((d.K, d.M), (d.Kt, d.Mt)):
+                    want = scipy.linalg.eigh(K.to_dense(), M.to_dense())[0]
+                    assert full_spectrum(K, M).eigenvalues.tobytes() == want.tobytes()
+
+
+def test_full_spectrum_of_an_indefinite_mass_is_a_numerical_failure():
+    with pytest.raises(NumericalFailure, match="INFO=5"):
+        full_spectrum(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, -1.0, 1.0]))
 
 
 def test_factor_rejects_a_non_finite_band():

@@ -119,6 +119,15 @@ def test_greville_count_and_range():
     assert np.all(np.diff(g) > 0)
 
 
+@pytest.mark.parametrize("p", range(1, 16))
+def test_greville_equals_the_knot_window_loop_bit_for_bit(p):
+    for N in (2, 3, 4, 5, 7, 13, 40, 100, 1000):
+        kv = open_uniform_knots(p, N)
+        t = kv.knots
+        want = np.array([t[i + 1 : i + p + 1].mean() for i in range(kv.dim)])
+        assert greville_points(kv).tobytes() == want.tobytes()
+
+
 def test_greville_interpolation_reproduces_monomials():
     """Interpolating x^k at the Greville abscissae must be exact for k <= p."""
     for p, N in [(2, 5), (4, 6)]:
