@@ -19,7 +19,7 @@ import pytest
 import igawave
 from igawave.assembly_1d import assemble_load, element_tables
 from igawave.cli import main
-from igawave.eigen import top_eigenvalue
+from igawave.eigen import max_eigenvalue, top_eigenvalue
 from igawave.experiments import build_1d, spectrum_table
 from igawave.integrator import critical_omega, initial_state, integrate, params_from_rho
 from igawave.mms_errors import l2_error, l2_error_2d, manufactured_case
@@ -70,6 +70,29 @@ def test_top_eigenvalue_penalized_p5(benchmark, N):
     d = build_1d(5, N)
     lam = benchmark(top_eigenvalue, d.Kt, d.Mt)
     assert lam / (N * np.pi) ** 2 == pytest.approx(1.0, abs=0.01)
+
+
+# The two max_eigenvalue requests of the benchmark's eigen workload, assembly
+# and mass factorization included, as the workload times them.
+def max_eigenvalue_penalized_p5_n40():
+    d = build_1d(5, 40)
+    return max_eigenvalue(d.Kt.matvec, d.Mt.factor(), d.Kt.n, apply_M=d.Mt.matvec)
+
+
+def max_eigenvalue_2d_standard_p3_n8():
+    d = build_1d(3, 8)
+    mass, stiff = build_tensor_operators([(d.M, d.K), (d.M, d.K)])
+    return max_eigenvalue(stiff.matvec, kron_mass_factor(mass), mass.total_dim,
+                          apply_M=mass.matvec)
+
+
+def test_max_eigenvalue_penalized_p5_n40(benchmark):
+    res = benchmark(max_eigenvalue_penalized_p5_n40)
+    assert res.value / (40 * np.pi) ** 2 == pytest.approx(1.0, abs=0.01)
+
+
+def test_max_eigenvalue_2d_standard_p3_n8(benchmark):
+    assert benchmark(max_eigenvalue_2d_standard_p3_n8).residual <= 1e-6
 
 
 @pytest.fixture(scope="module")

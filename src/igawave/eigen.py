@@ -17,14 +17,19 @@ formed in extended precision (np.longdouble); the value is returned once
 two sweeps agree to 1e-12 relative, and a block that does not settle
 raises NumericalFailure.
 
-The matrix-free route is scipy's implicitly restarted Lanczos (ARPACK) on
-LinearOperators built from the caller's callables.  Penalized spectra end
-in a near-degenerate pair (one pinned mode per boundary), which stalls
-power iteration but not a Krylov method.  A few sweeps u <- M^-1 K u then
-bring the residual of the returned vector under its target; a run that
-cannot get there raises NumericalFailure rather than returning a value.
+The matrix-free route is Lanczos on M^-1 K in the M inner product, where
+that operator is symmetric, written in numpy on the caller's callables.
+Full reorthogonalization keeps the basis orthogonal without the
+bookkeeping of selective schemes, and a restart keeps the top half of the
+Ritz vectors (thick restart), so a near-degenerate top pair is not lost.
+Penalized spectra end in such a pair (one pinned mode per boundary), which
+stalls power iteration but not a Krylov method.  A few sweeps
+u <- M^-1 K u then bring the residual of the returned vector under its
+target; a run that cannot get there raises NumericalFailure rather than
+returning a value.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +40,7 @@ __all__ = ["NumericalFailure", "SpectrumResult", "PowerResult", "full_spectrum",
            "top_eigenvalue", "max_eigenvalue"]
 
 DENSE_LIMIT = 2000
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,56 @@ def top_eigenvalue(K, M):
     raise NumericalFailure(f"top eigenvalue did not settle to {SETTLE:.0e} in {SWEEPS} sweeps")
 
 
+KRYLOV = 64  # Lanczos basis vectors at most
+KEEP = KRYLOV // 2  # Ritz vectors a restart keeps
+RITZ_EVERY = 8  # Lanczos steps between two Ritz extractions
+
+
+def _lanczos(apply_K, solve_M, apply_M, v, tol, cycles):
+    """Top Ritz vector of M^-1 K by thick-restart Lanczos in the M inner product.
+
+    Each step applies K, M^-1 and M once and orthogonalizes the new
+    direction twice against the whole basis; the coefficients are the new
+    column of the projected matrix Q^T K Q.  A cycle ends at min(n, KRYLOV)
+    vectors and the next one starts from the top KEEP Ritz vectors and the
+    last direction.  Done when the residual estimate beta |y_last| <=
+    tol |theta| of the top Ritz pair, when the basis spans the whole space,
+    or when the new direction is rounding noise (an invariant subspace).
+    """
+    n = v.shape[0]
+    m = min(n, KRYLOV)
+    Q, MQ = np.empty((m + 1, n)), np.empty((m + 1, n))  # the basis and M times it, by rows
+    H = np.zeros((m, m))  # upper triangle of Q^T K Q
+    mv = apply_M(v)
+    scale = 1.0 / math.sqrt(v @ mv)
+    Q[0], MQ[0] = v * scale, mv * scale
+    start = 0
+    for _ in range(cycles):
+        for j in range(start, m):
+            kq = apply_K(Q[j])
+            w = solve_M(kq)
+            norm = math.sqrt(max(w @ kq, 0.0))  # ||w||_M before orthogonalization
+            for _ in range(2):  # w may be the caller's array: not in place
+                h = MQ[: j + 1] @ w
+                w = w - h @ Q[: j + 1]
+                H[: j + 1, j] += h
+            mw = apply_M(w)
+            beta = math.sqrt(max(w @ mw, 0.0))
+            invariant = beta <= EPS * norm
+            if invariant or (j + 1) % RITZ_EVERY == 0 or j + 1 == m:
+                theta, Y = np.linalg.eigh(H[: j + 1, : j + 1], UPLO="U")
+                if invariant or j + 1 == n or beta * abs(Y[-1, -1]) <= tol * abs(theta[-1]):
+                    return Y[:, -1] @ Q[: j + 1]
+            Q[j + 1], MQ[j + 1] = w / beta, mw / beta  # beta > 0: not invariant
+        Y = Y[:, -KEEP:]  # a cycle that reaches j + 1 = n returns, so here n > KRYLOV
+        Q[:KEEP], MQ[:KEEP] = Y.T @ Q[:m], Y.T @ MQ[:m]
+        Q[KEEP], MQ[KEEP] = Q[m], MQ[m]
+        H[:] = 0.0
+        H[:KEEP, :KEEP] = np.diag(theta[-KEEP:])
+        start = KEEP
+    raise NumericalFailure(f"Lanczos did not converge in {cycles} restarts")
+
+
 def max_eigenvalue(
     apply_K,
     solve_M,
@@ -186,9 +242,11 @@ def max_eigenvalue(
     apply_K, apply_M : callables mapping a vector to K v, M v.
     solve_M : callable mapping b to the solution of M u = b.
     n : system dimension.
-    tol : relative accuracy asked of the Lanczos Ritz value (ARPACK's tol).
-    max_iter : budget for the ARPACK restarts and, separately, for the
-        residual sweeps.
+    tol : bound on the Lanczos residual estimate beta_j |y_last| of the top
+        Ritz pair, relative to the Ritz value.
+    max_iter : budget for the Lanczos cycles of up to 64 steps (the first
+        from the seeded start, each later one restarted from the top 32
+        Ritz vectors) and, separately, for the residual sweeps.
     seed : start-vector seed, fixed so repeated runs are identical.
     residual_target : bound the relative residual of the returned pair must
         meet.  The Ritz value is quadratically accurate in the eigenvector
@@ -206,7 +264,7 @@ def max_eigenvalue(
     Raises
     ------
     NumericalFailure
-        When ARPACK does not converge within max_iter restarts, or the
+        When Lanczos does not converge within max_iter cycles, or the
         residual is still above residual_target after max_iter sweeps.
     """
     if n < 2:
@@ -215,8 +273,6 @@ def max_eigenvalue(
         raise ValueError("tolerance must be positive")
     if residual_target <= 0:
         raise ValueError("residual target must be positive")
-    # Imported here: at module level it slows the CLI's start-up, which never calls this.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     k_applies = 0
 
@@ -225,15 +281,8 @@ def max_eigenvalue(
         k_applies += 1
         return apply_K(v)
 
-    K, M, Minv = (
-        LinearOperator((n, n), matvec=f, dtype=float) for f in (counted_K, apply_M, solve_M)
-    )
     v0 = np.random.default_rng(seed).standard_normal(n)
-    try:
-        _, vecs = eigsh(K, k=1, M=M, Minv=Minv, which="LA", v0=v0, tol=tol, maxiter=max_iter)
-    except ArpackNoConvergence as err:
-        raise NumericalFailure(f"Lanczos did not converge in {max_iter} restarts") from err
-    u = vecs[:, 0]
+    u = _lanczos(counted_K, solve_M, apply_M, v0, tol, max_iter)
     for _ in range(max_iter + 1):  # the Lanczos vector, then one per sweep
         ku, mu = counted_K(u), apply_M(u)
         value = float(u @ ku / (u @ mu))

@@ -66,6 +66,28 @@ def test_cli_import_loads_the_compiled_module_but_not_scipy_linalg():
     assert out == bits()
 
 
+def test_eigensolvers_load_neither_scipy_sparse_nor_scipy_linalg():
+    # The two max_eigenvalue requests of the benchmark's eigen workload, and
+    # the dense reference each is checked against.
+    run_python(
+        "import sys\n"
+        "from igawave.eigen import full_spectrum, max_eigenvalue\n"
+        "from igawave.experiments import build_1d\n"
+        "from igawave.tensor_ops import build_tensor_operators, kron_mass_factor\n"
+        "d = build_1d(5, 40)\n"
+        "res = max_eigenvalue(d.Kt.matvec, d.Mt.factor(), d.Kt.n, apply_M=d.Mt.matvec)\n"
+        "assert abs(res.value / full_spectrum(d.Kt, d.Mt).max - 1) < 1e-8\n"
+        "d = build_1d(3, 8)\n"
+        "mass, stiff = build_tensor_operators([(d.M, d.K), (d.M, d.K)])\n"
+        "res = max_eigenvalue(stiff.matvec, kron_mass_factor(mass), mass.total_dim,\n"
+        "                     apply_M=mass.matvec)\n"
+        "assert abs(res.value / full_spectrum(stiff.to_dense(), mass.to_dense()).max - 1) < 1e-8\n"
+        f"assert {_lapack.NAME!r} in sys.modules\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse'\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg'\n"
+    )
+
+
 def test_fallback_to_scipy_linalg_when_the_file_is_missing(tmp_path, monkeypatch):
     monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
     with pytest.raises(ImportError, match="no compiled _flapack module"):
