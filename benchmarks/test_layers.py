@@ -9,6 +9,7 @@ Add --benchmark-json=FILE to keep the numbers.
 """
 
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -211,11 +212,40 @@ def test_cli_defaults(benchmark, tmp_path, argv):
                               rounds=3, iterations=1) == 0
 
 
+ONE_THREAD_ENV = dict(os.environ, PYTHONPATH=str(Path(igawave.__file__).parents[1]),
+                      OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 def test_cli_import_fresh_interpreter(benchmark):
     """`import igawave.cli` in a new interpreter with one BLAS thread: the
     start-up every command-line run pays before its first argument is read."""
-    env = dict(os.environ, PYTHONPATH=str(Path(igawave.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     argv = [sys.executable, "-c", "import igawave.cli"]
-    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True},
+    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": ONE_THREAD_ENV, "check": True},
                        rounds=15, iterations=1, warmup_rounds=1)
+
+
+FREE_RUN = """
+from igawave.experiments import free_run
+free_run(6, 1000, 1.0, 0.9, 10, seed=1)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_free_run_fresh_interpreter(benchmark):
+    """A short free run at p=6, N=1000 in a new interpreter with one BLAS
+    thread: imports, assembly, the top eigenvalue, the seeded start and the
+    dense stiffness view.  extra_info["peak_rss_mb"] is the median of the
+    children's own peak resident set, VmHWM in kB.  Not ru_maxrss: exec
+    carries the launching process's peak into the child's ru_maxrss, so
+    under this pytest process it would read the benches run before."""
+    peaks = []
+
+    def run():
+        out = subprocess.run([sys.executable, "-c", FREE_RUN], env=ONE_THREAD_ENV, check=True,
+                             capture_output=True, text=True).stdout
+        peaks.append(int(out) / 1024)
+
+    benchmark.pedantic(run, rounds=7, iterations=1, warmup_rounds=1)
+    benchmark.extra_info["peak_rss_mb"] = statistics.median(peaks)

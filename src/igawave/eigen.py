@@ -27,6 +27,14 @@ stalls power iteration but not a Krylov method.  A few sweeps
 u <- M^-1 K u then bring the residual of the returned vector under its
 target; a run that cannot get there raises NumericalFailure rather than
 returning a value.
+
+Both iterative routes start from reproducible data: entry i of a seeded
+start block is the (i+1)-th output of the SplitMix64 generator seeded with
+the seed (Steele, Lea & Flood, OOPSLA 2014), its top 53 bits mapped to a
+multiple of 2^-52 in [-1, 1).  The values are uniform on that grid, the
+same on every numpy and Python version, and need none of NumPy's random
+generators.  A seed is an int (not a bool) in [0, 2^64); anything else
+raises ValueError.  top_eigenvalue always uses seed 0.
 """
 
 import math
@@ -41,6 +49,30 @@ __all__ = ["NumericalFailure", "SpectrumResult", "PowerResult", "full_spectrum",
 
 DENSE_LIMIT = 2000
 EPS = np.finfo(float).eps
+
+GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's state increment, 2^64 / golden ratio
+
+
+def check_seed(seed):
+    """Raise ValueError unless seed is an int (not a bool) in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+
+
+def start_data(shape, seed):
+    """Reproducible start data of the given shape, uniform on [-1, 1).
+
+    Entry i in C order is SplitMix64's (i+1)-th output for this seed, its
+    top 53 bits scaled to [-1, 1).  The seed and the constants enter as
+    Python ints: arithmetic on uint64 arrays wraps mod 2^64 silently, where
+    the same products of uint64 scalars would warn.
+    """
+    check_seed(seed)
+    z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * GOLDEN + seed
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    return ((z >> 11).astype(float) * 2.0**-52 - 1.0).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -159,7 +191,7 @@ def top_eigenvalue(K, M):
     factor = _shift_above(kab, mab)
     rows = np.stack([_band_rows(kab), _band_rows(mab)])
     rows_ext = rows.astype(np.longdouble)
-    V = np.random.default_rng(0).standard_normal((n, min(BLOCK, n)))
+    V = start_data((n, min(BLOCK, n)), 0)
     value = None
     for _ in range(SWEEPS):
         Q, _ = np.linalg.qr(dpbtrs(factor, V)[0])  # (sigma M - K)^-1 V, orthonormalized
@@ -247,7 +279,9 @@ def max_eigenvalue(
     max_iter : budget for the Lanczos cycles of up to 64 steps (the first
         from the seeded start, each later one restarted from the top 32
         Ritz vectors) and, separately, for the residual sweeps.
-    seed : start-vector seed, fixed so repeated runs are identical.
+    seed : start-vector seed, an int in [0, 2^64) (ValueError otherwise).
+        The start vector is start_data((n,), seed), uniform on [-1, 1), so
+        equal seeds give identical runs.
     residual_target : bound the relative residual of the returned pair must
         meet.  The Ritz value is quadratically accurate in the eigenvector
         error, so on an ill-conditioned mass the Lanczos vector can miss
@@ -281,7 +315,7 @@ def max_eigenvalue(
         k_applies += 1
         return apply_K(v)
 
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    v0 = start_data((n,), seed)
     u = _lanczos(counted_K, solve_M, apply_M, v0, tol, max_iter)
     for _ in range(max_iter + 1):  # the Lanczos vector, then one per sweep
         ku, mu = counted_K(u), apply_M(u)

@@ -20,7 +20,7 @@ from .assembly_1d import (
     kappa_variant,
     penalized_forms,
 )
-from .eigen import NumericalFailure, top_eigenvalue
+from .eigen import NumericalFailure, check_seed, start_data, top_eigenvalue
 from .integrator import (
     critical_omega,
     initial_state,
@@ -404,13 +404,17 @@ def solve_mms(
 
 
 def free_run(p, N, rho, tau_factor, n_steps, kappa="one", variant="endpoint", seed=7):
-    """Unforced integration from random data at tau = tau_factor * tau_c.
+    """Unforced integration from seeded data at tau = tau_factor * tau_c.
 
     Uses the penalized operators; returns (IntegrationResult, tau).  This is
     the empirical side of the stability analysis: below the critical step
-    the run stays bounded, above it the blow-up flag fires quickly.
+    the run stays bounded, above it the blow-up flag fires quickly.  The
+    start displacement is eigen.start_data((n,), seed), uniform on [-1, 1),
+    and the start velocity is zero; seed is an int in [0, 2^64), so equal
+    seeds give identical runs.
     """
     _check_degrees([p], kappa)
+    check_seed(seed)
     if not (math.isfinite(tau_factor) and tau_factor > 0.0):
         raise ValueError(f"tau_factor must be finite and positive, got {tau_factor!r}")
     if n_steps < 1:
@@ -420,9 +424,8 @@ def free_run(p, N, rho, tau_factor, n_steps, kappa="one", variant="endpoint", se
     lam_t = top_eigenvalue(d.Kt, d.Mt)
     tau = tau_factor * critical_omega(params) / np.sqrt(lam_t)
     solve = d.Mt.factor()
-    rng = np.random.default_rng(seed)
     n = d.kv.interior_dim
-    u0 = rng.standard_normal(n)
+    u0 = start_data((n,), seed)
     zero = np.zeros(n)
     state0 = initial_state(solve, d.Kt.matvec, zero, u0, zero.copy())
     res = integrate(

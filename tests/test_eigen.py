@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from igawave.assembly_1d import (
     kappa_variant,
     penalized_forms,
 )
-from igawave.eigen import NumericalFailure, full_spectrum, max_eigenvalue, top_eigenvalue
+from igawave.eigen import (
+    NumericalFailure,
+    full_spectrum,
+    max_eigenvalue,
+    start_data,
+    top_eigenvalue,
+)
 from igawave.experiments import build_1d
 from igawave.quadrature import gauss_legendre
 from igawave.spline_basis import open_uniform_knots
@@ -190,6 +197,75 @@ def test_tolerance_validation():
         power_on(M, K, tol=0.0)
     with pytest.raises(ValueError, match="2 unknowns"):
         max_eigenvalue(lambda v: 2 * v, lambda b: b, 1, apply_M=lambda v: v)
+
+
+BAD_SEEDS = [None, 1.5, True, -1, 2**64, np.int64(3), "7"]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_seed_validation(seed):
+    def apply_K(v):
+        raise AssertionError("K applied before the seed was checked")
+
+    with pytest.raises(ValueError, match="^seed must be an int"):
+        max_eigenvalue(apply_K, lambda b: b, 5, apply_M=lambda v: v, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be an int"):
+        start_data((5,), seed)
+
+
+def splitmix64(seed, count):
+    """Reference SplitMix64 outputs in Python ints, one at a time."""
+    state, out = seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_start_data_is_the_splitmix64_stream():
+    # 0xe220a8397b1dcdaf is the generator's first output from seed 0 in its
+    # published reference implementation.
+    assert splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+    for seed in (0, 1, 42, 2**63, 2**64 - 1):
+        want = [(z >> 11) * 2.0**-52 - 1.0 for z in splitmix64(seed, 50)]
+        assert start_data((50,), seed).tolist() == want
+    # The leading values, pinned: changing the stream has to be deliberate.
+    assert [x.hex() for x in start_data((4,), 0)] == [
+        "0x1.8882a0e5ec772p-1", "-0x1.18761955e46a0p-3",
+        "-0x1.e4ee8b9dffdb0p-1", "0x1.e22ee2a1c9320p-1",
+    ]
+    assert [x.hex() for x in start_data((2,), 42)] == [
+        "0x1.eeb991317f5b4p-2", "-0x1.5c40733136644p-1",
+    ]
+
+
+def test_start_data_is_reproducible_and_spread():
+    a = start_data((1004, 3), 7)
+    assert a.tobytes() == start_data((1004, 3), 7).tobytes()
+    assert a.dtype == np.float64 and a.shape == (1004, 3)
+    assert a.tobytes() == start_data((3012,), 7).tobytes()  # C order
+    assert start_data((1004,), 7).tobytes() == a.ravel()[:1004].tobytes()
+    samples = [start_data((1004, 3), seed) for seed in (0, 1, 2, 7, 2**64 - 1)]
+    for x in samples:
+        assert np.all(x >= -1.0) and np.all(x < 1.0)
+        assert np.all(x * 2.0**52 == np.round(x * 2.0**52))  # multiples of 2^-52
+        assert np.unique(x).size == x.size  # entries differ
+        assert abs(x.mean()) < 0.05 and abs(x.var() - 1 / 3) < 0.02  # uniform on [-1, 1)
+    for i, x in enumerate(samples):
+        for y in samples[i + 1:]:
+            assert not np.any(x == y)
+    assert start_data((0,), 3).shape == (0,)
+
+
+def test_start_data_raises_no_overflow_warning():
+    # uint64 arithmetic wraps mod 2^64 by design; scalar products would warn.
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for seed in (0, 2**63, 2**64 - 1):
+            start_data((1004, 3), seed)
+            start_data((1,), seed)
 
 
 def extended_top_eigenvalue(K, M, dps=40):

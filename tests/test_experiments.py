@@ -4,6 +4,7 @@ and the library entry points reject counts and times no run can take."""
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from igawave import experiments as ex
@@ -79,10 +80,36 @@ def test_blow_up_in_a_worker_reaches_the_caller():
      "tau_factor"),
     ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": 0.5, "n_steps": 0}, "n_steps"),
     ("free_run", {"p": 3, "N": 10, "rho": 1.5, "tau_factor": 0.5, "n_steps": 20}, "rho"),
+    ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": 0.5, "n_steps": 5, "seed": None},
+     "seed"),
+    ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": 0.5, "n_steps": 5, "seed": 1.5},
+     "seed"),
+    ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": 0.5, "n_steps": 5, "seed": True},
+     "seed"),
+    ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": 0.5, "n_steps": 5, "seed": -1},
+     "seed"),
 ])
 def test_run_arguments_checked_before_any_work(study, kwargs, argument):
     with pytest.raises(ValueError, match=rf"^{argument} must"):
         getattr(ex, study)(**kwargs)
+
+
+def test_free_run_checks_its_seed_before_assembly(monkeypatch):
+    def build_1d(*args, **kwargs):
+        raise AssertionError("assembly ran before the seed was checked")
+
+    monkeypatch.setattr(ex, "build_1d", build_1d)
+    with pytest.raises(ValueError, match="^seed must"):
+        ex.free_run(3, 10, 1.0, 0.5, 5, seed=None)
+
+
+def test_free_run_is_reproducible():
+    a, tau_a = ex.free_run(3, 10, 1.0, 0.5, 5, seed=11)
+    b, tau_b = ex.free_run(3, 10, 1.0, 0.5, 5, seed=11)
+    c, _ = ex.free_run(3, 10, 1.0, 0.5, 5, seed=12)
+    assert tau_a == tau_b
+    assert a.final.u.tobytes() == b.final.u.tobytes()
+    assert not np.array_equal(a.final.u, c.final.u)
 
 
 def test_stability_region_checks_its_rho_grid_before_assembly(monkeypatch):

@@ -66,17 +66,21 @@ def test_cli_import_loads_the_compiled_module_but_not_scipy_linalg():
     assert out == bits()
 
 
-def test_eigensolvers_load_neither_scipy_sparse_nor_scipy_linalg():
-    # The two max_eigenvalue requests of the benchmark's eigen workload, and
-    # the dense reference each is checked against.
+def test_seeded_routes_load_no_scipy_sparse_scipy_linalg_or_numpy_random():
+    # The two max_eigenvalue requests of the benchmark's eigen workload, the
+    # dense reference each is checked against, top_eigenvalue and a short
+    # free run: every route that starts from seeded data.
     run_python(
         "import sys\n"
-        "from igawave.eigen import full_spectrum, max_eigenvalue\n"
-        "from igawave.experiments import build_1d\n"
+        "from igawave.eigen import full_spectrum, max_eigenvalue, top_eigenvalue\n"
+        "from igawave.experiments import build_1d, free_run\n"
         "from igawave.tensor_ops import build_tensor_operators, kron_mass_factor\n"
         "d = build_1d(5, 40)\n"
         "res = max_eigenvalue(d.Kt.matvec, d.Mt.factor(), d.Kt.n, apply_M=d.Mt.matvec)\n"
         "assert abs(res.value / full_spectrum(d.Kt, d.Mt).max - 1) < 1e-8\n"
+        "assert abs(top_eigenvalue(d.Kt, d.Mt) / res.value - 1) < 1e-8\n"
+        "run, _ = free_run(6, 40, 1.0, 0.9, 10)\n"
+        "assert run.steps_completed == 10 and not run.blew_up\n"
         "d = build_1d(3, 8)\n"
         "mass, stiff = build_tensor_operators([(d.M, d.K), (d.M, d.K)])\n"
         "res = max_eigenvalue(stiff.matvec, kron_mass_factor(mass), mass.total_dim,\n"
@@ -85,6 +89,7 @@ def test_eigensolvers_load_neither_scipy_sparse_nor_scipy_linalg():
         f"assert {_lapack.NAME!r} in sys.modules\n"
         "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse'\n"
         "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg'\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random'\n"
     )
 
 
