@@ -47,11 +47,6 @@ def test_build_1d_p6_n1000(benchmark):
     assert benchmark(build_1d, 6, 1000).Mt.n == 1004
 
 
-def test_build_1d_integral_p7_n1000(benchmark):
-    """Three integral penalty levels, read from one Gauss-point table."""
-    assert benchmark(build_1d, 7, 1000, variant="integral").Mt.n == 1005
-
-
 def test_assemble_load_p5_n1000(benchmark):
     """The manufactured load on the 8-point table that a run builds once."""
     kv = open_uniform_knots(5, 1000)

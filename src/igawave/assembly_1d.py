@@ -8,15 +8,10 @@ dense eigensolves and matvecs use, written from the band in one pass with
 no second n-by-n temporary.  Each integral is one basis table (from a rule,
 or a shared element_tables result), one batched product and one ordered scatter.
 
-The outlier-removal penalties come in two flavours:
-
-* ``endpoint``: rank-two matrices built from the 2l-th basis derivatives at
-  x = 0 and x = 1, scaled by h^(4l+1) in the mass and pi^2 h^(4l-1) in the
-  stiffness.  This is the default; it pins the spurious top eigenvalues to
-  about pi^2/h^2 uniformly in N.
-* ``integral``: whole-domain products of 2l-th derivatives scaled by
-  h^(6l-1) and pi^2 h^(6l-3).  Kept selectable for comparison; its top
-  eigenvalue overshoots pi^2/h^2 by a margin that grows with N.
+The outlier-removal penalty of level l is the rank-two matrix built from
+the 2l-th basis derivatives at x = 0 and x = 1, scaled by h^(4l+1) in the
+mass and pi^2 h^(4l-1) in the stiffness.  It pins the spurious top
+eigenvalues to the interior symbol maximum, about pi^2/h^2, uniformly in N.
 """
 
 from dataclasses import dataclass
@@ -39,11 +34,6 @@ __all__ = [
     "element_tables",
     "penalized_forms",
 ]
-
-# Level ell's weights are h^(a ell + m) in the mass and pi^2 h^(a ell + k) in
-# the stiffness, with (a, m, k) per variant.
-_H_POWERS = {"endpoint": (4, 1, -1), "integral": (6, -1, -3)}
-
 
 @dataclass(frozen=True)
 class Coefficient:
@@ -206,30 +196,24 @@ def assemble_load(kv, rule, f, interior=True):
     return full[1:-1] if interior else full
 
 
-def assemble_penalty(kv, ell, variant="endpoint", rule=None, interior=True):
+def assemble_penalty(kv, ell, *, interior=True):
     """Penalty matrix for level ell (derivative order 2*ell).
 
-    The endpoint variant is d0 d0^T + d1 d1^T with d0, d1 the 2l-th basis
-    derivative values at the two boundary points; bandwidth stays p because
-    the two outer products touch disjoint corner blocks.  The integral
-    variant is the whole-domain product of 2l-th derivatives.
+    d0 d0^T + d1 d1^T with d0, d1 the 2l-th basis derivative values at the
+    two boundary points; bandwidth stays p because the two outer products
+    touch disjoint corner blocks.  interior is keyword-only: a positional
+    third argument is rejected rather than read as a flag.
     """
     if not 1 <= ell <= alpha_of(kv.p):
         raise ValueError(f"penalty level {ell} outside 1..{alpha_of(kv.p)}")
-    if variant == "endpoint":
-        d0, d1 = boundary_derivative_vectors(kv, 2 * ell)
-        if interior:
-            d0, d1 = d0[1:-1], d1[1:-1]
-        # Band entry ab[p + i - j, j] = d0[i] d0[j] + d1[i] d1[j], zero above row 0.
-        j = np.arange(d0.size)
-        i = j - kv.p + np.arange(kv.p + 1)[:, None]
-        ic = np.maximum(i, 0)
-        return BandedSymMatrix(np.where(i >= 0, d0[ic] * d0[j] + d1[ic] * d1[j], 0.0))
-    if variant == "integral":
-        if rule is None:
-            raise ValueError("integral penalty needs a quadrature rule")
-        return _assemble_product(kv, rule, 2 * ell, None, interior)
-    raise ValueError(f"unknown penalty variant {variant!r}")
+    d0, d1 = boundary_derivative_vectors(kv, 2 * ell)
+    if interior:
+        d0, d1 = d0[1:-1], d1[1:-1]
+    # Band entry ab[p + i - j, j] = d0[i] d0[j] + d1[i] d1[j], zero above row 0.
+    j = np.arange(d0.size)
+    i = j - kv.p + np.arange(kv.p + 1)[:, None]
+    ic = np.maximum(i, 0)
+    return BandedSymMatrix(np.where(i >= 0, d0[ic] * d0[j] + d1[ic] * d1[j], 0.0))
 
 
 def _eta_tuple(name, eta, nlevels):
@@ -244,28 +228,22 @@ def _eta_tuple(name, eta, nlevels):
     return eta
 
 
-def penalized_forms(M, K, kv, variant="endpoint", rule=None, eta_a=1.0, eta_b=1.0):
+def penalized_forms(M, K, kv, eta_a=1.0, eta_b=1.0):
     """Mass/stiffness pair with the outlier penalties of every level folded in.
 
-    Level ell adds eta_b[ell] * w_m * P_ell to M and eta_a[ell] * w_k * P_ell
-    to K, with P_ell from assemble_penalty and h = 1/N:
-    endpoint weights: mass h^(4l+1), stiffness pi^2 h^(4l-1);
-    integral weights: mass h^(6l-1), stiffness pi^2 h^(6l-3).
-    A scalar weight applies to every level.  With no penalty levels (p <= 2)
-    the input pair is returned unchanged; the weights are checked either way.
+    Level ell adds eta_b[ell] * h^(4l+1) * P_ell to M and
+    eta_a[ell] * pi^2 h^(4l-1) * P_ell to K, with P_ell from
+    assemble_penalty and h = 1/N.  A scalar weight applies to every level.
+    With no penalty levels (p <= 2) the input pair is returned unchanged;
+    the weights are checked either way.
     """
-    if variant not in _H_POWERS:
-        raise ValueError(f"unknown penalty variant {variant!r}")
     nlevels = alpha_of(kv.p)
     eta_a = _eta_tuple("eta_a", eta_a, nlevels)
     eta_b = _eta_tuple("eta_b", eta_b, nlevels)
-    a, m, k = _H_POWERS[variant]
     h = kv.h
-    if variant == "integral" and nlevels and rule is not None:
-        rule = element_tables(kv, rule, 2 * nlevels)  # one table for every level
     Mt, Kt = M, K
     for ell, ea, eb in zip(range(1, nlevels + 1), eta_a, eta_b):
-        P = assemble_penalty(kv, ell, variant, rule)
-        Mt = Mt.add_scaled(P, eb * h ** (a * ell + m))
-        Kt = Kt.add_scaled(P, ea * (np.pi**2 * h ** (a * ell + k)))
+        P = assemble_penalty(kv, ell)
+        Mt = Mt.add_scaled(P, eb * h ** (4 * ell + 1))
+        Kt = Kt.add_scaled(P, ea * (np.pi**2 * h ** (4 * ell - 1)))
     return Mt, Kt

@@ -18,8 +18,6 @@ import sys
 
 from . import experiments as ex
 
-VARIANT_MAP = {"boundary-point": "endpoint", "integral": "integral"}
-
 # The column subsets of spectrum's --penalty off/on; --penalty both writes every column.
 SPECTRUM_COLUMNS = {
     "off": ["p", "N", "lambda", "tau_c"],
@@ -73,8 +71,8 @@ def _positive_float(text):
 # is a usage error, on the command line and in a config section alike.
 def _add_problem(sub, run):
     sub.add_argument("--kappa", choices=("one", "exp"), default="one")
-    sub.add_argument("--variant", choices=tuple(VARIANT_MAP), default="boundary-point",
-                     help="penalization flavour")
+    sub.add_argument("--variant", choices=("boundary-point",), default="boundary-point",
+                     help="penalization (the one choice, accepted for compatibility)")
     sub.add_argument("--eta-a", type=float, default=1.0, dest="eta_a")
     sub.add_argument("--eta-b", type=float, default=1.0, dest="eta_b")
     sub.add_argument("--out", required=True, help="output CSV path")
@@ -187,8 +185,7 @@ def _single(parser, values, name, fallback):
 
 def _problem(args):
     """The problem keywords every driver takes."""
-    return dict(kappa=args.kappa, variant=VARIANT_MAP[args.variant],
-                eta_a=args.eta_a, eta_b=args.eta_b)
+    return dict(kappa=args.kappa, eta_a=args.eta_a, eta_b=args.eta_b)
 
 
 def _write(args, rows, xcol, ycols, header=None, **scales):

@@ -71,7 +71,7 @@ class Discretization1D:
     Kt: object = field(repr=False)
 
 
-def build_1d(p, N, kappa="one", variant="endpoint", eta_a=1.0, eta_b=1.0):
+def build_1d(p, N, kappa="one", eta_a=1.0, eta_b=1.0):
     """Assemble the 1D interior operators for one (degree, elements) cell."""
     coeff = kappa_variant(kappa)
     kv = open_uniform_knots(p, N)
@@ -79,7 +79,7 @@ def build_1d(p, N, kappa="one", variant="endpoint", eta_a=1.0, eta_b=1.0):
     tables = element_tables(kv, rule, 1)  # one basis evaluation for both matrices
     M = assemble_mass(kv, tables)
     K = assemble_stiffness(kv, tables, coeff)
-    Mt, Kt = penalized_forms(M, K, kv, variant, rule, eta_a, eta_b)
+    Mt, Kt = penalized_forms(M, K, kv, eta_a, eta_b)
     return Discretization1D(kv=kv, M=M, K=K, Mt=Mt, Kt=Kt)
 
 
@@ -132,7 +132,6 @@ def spectrum_table(
     dim=1,
     kappa="one",
     rho=0.0,
-    variant="endpoint",
     eta_a=1.0,
     eta_b=1.0,
     workers=4,
@@ -159,7 +158,7 @@ def spectrum_table(
 
     def one(cell):
         p, N = cell
-        d = build_1d(p, N, kappa, variant, eta_a, eta_b)
+        d = build_1d(p, N, kappa, eta_a, eta_b)
         lam = dim * top_eigenvalue(d.K, d.M)
         lam_t = dim * top_eigenvalue(d.Kt, d.Mt)
         tau = c_rho / np.sqrt(lam)
@@ -218,7 +217,7 @@ def _add_rates(rows, x, key, name):
         r[name] = float(rate)
 
 
-def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
+def _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init):
     """The manufactured problem on a p, N mesh in one or two dimensions.
 
     Returns (solve_M, apply_K, load, state0, l2, h1): load(t) is the load
@@ -230,7 +229,7 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
     cost a call) and the error-norm function, looked up at each call so
     that a rebinding of the module's name takes effect.
     """
-    d = build_1d(p, N, kappa, variant, eta_a, eta_b)
+    d = build_1d(p, N, kappa, eta_a, eta_b)
     kv = d.kv
     table = element_tables(kv, rule_for_degree(p, smooth_coefficient=False), 1)  # loads, u0, norms
     case = manufactured_case(kappa, dim)
@@ -264,10 +263,8 @@ def _setup(dim, p, N, kappa, penalized, variant, eta_a, eta_b, init):
     return solve, apply_K, load, state0, l2, h1
 
 
-def _mms_run(dim, p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init):
-    solve, apply_K, load, state0, l2, h1 = _setup(
-        dim, p, N, kappa, penalized, variant, eta_a, eta_b, init
-    )
+def _mms_run(dim, p, N, kappa, rho, T, n_steps, penalized, eta_a, eta_b, init):
+    solve, apply_K, load, state0, l2, h1 = _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init)
     res = integrate(state0, solve, apply_K, load, T / n_steps, n_steps, params_from_rho(rho))
     if res.blew_up:
         raise BlowupDetected(f"{dim}D run p={p} N={N} blew up at step {res.steps_completed}")
@@ -283,7 +280,6 @@ def convergence_space(
     T=1.0,
     n_steps=10_000,
     penalized=True,
-    variant="endpoint",
     eta_a=1.0,
     eta_b=1.0,
     init="project",
@@ -297,7 +293,7 @@ def convergence_space(
 
     def one(cell):
         p, N = cell
-        l2, h1 = _mms_run(dim, p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
+        l2, h1 = _mms_run(dim, p, N, kappa, rho, T, n_steps, penalized, eta_a, eta_b, init)
         return {"p": p, "N": N, "h": 1.0 / N, "l2": l2, "h1": h1}
 
     rows = _process_map(one, cells, workers)
@@ -316,7 +312,6 @@ def convergence_time(
     rho=1.0,
     T=1.0,
     penalized=True,
-    variant="endpoint",
     eta_a=1.0,
     eta_b=1.0,
     init="project",
@@ -328,7 +323,7 @@ def convergence_time(
     _check_distinct("steps_list", steps_list)
 
     def one(n_steps):
-        l2, _ = _mms_run(1, p, N, kappa, rho, T, n_steps, penalized, variant, eta_a, eta_b, init)
+        l2, _ = _mms_run(1, p, N, kappa, rho, T, n_steps, penalized, eta_a, eta_b, init)
         return {"p": p, "N": N, "steps": n_steps, "tau": T / n_steps, "l2": l2}
 
     rows = _process_map(one, steps_list, workers)
@@ -340,7 +335,6 @@ def stability_region(
     p=6,
     N=80,
     kappa="one",
-    variant="endpoint",
     eta_a=1.0,
     eta_b=1.0,
     rho_values=None,
@@ -350,7 +344,7 @@ def stability_region(
         rho_values = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)
     params = [params_from_rho(rho) for rho in rho_values]  # a bad rho fails before any work
     _check_degrees([p], kappa)
-    d = build_1d(p, N, kappa, variant, eta_a, eta_b)
+    d = build_1d(p, N, kappa, eta_a, eta_b)
     lam = top_eigenvalue(d.K, d.M)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
     return [
@@ -368,7 +362,6 @@ def solve_mms(
     T=1.0,
     n_steps=1000,
     penalized=True,
-    variant="endpoint",
     eta_a=1.0,
     eta_b=1.0,
     init="project",
@@ -384,9 +377,7 @@ def solve_mms(
         stride = max(1, n_steps // 200)
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride!r}")
-    solve, apply_K, load, state0, l2, _ = _setup(
-        dim, p, N, kappa, penalized, variant, eta_a, eta_b, init
-    )
+    solve, apply_K, load, state0, l2, _ = _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init)
     rows = [{"step": 0, "t": 0.0, "l2_error": l2(state0.u, state0.t)}]
 
     def observe(i, state):
@@ -403,7 +394,7 @@ def solve_mms(
     return rows, res.blew_up
 
 
-def free_run(p, N, rho, tau_factor, n_steps, kappa="one", variant="endpoint", seed=7):
+def free_run(p, N, rho, tau_factor, n_steps, kappa="one", seed=7):
     """Unforced integration from seeded data at tau = tau_factor * tau_c.
 
     Uses the penalized operators; returns (IntegrationResult, tau).  This is
@@ -420,7 +411,7 @@ def free_run(p, N, rho, tau_factor, n_steps, kappa="one", variant="endpoint", se
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
     params = params_from_rho(rho)
-    d = build_1d(p, N, kappa, variant)
+    d = build_1d(p, N, kappa)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
     tau = tau_factor * critical_omega(params) / np.sqrt(lam_t)
     solve = d.Mt.factor()

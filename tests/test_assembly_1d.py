@@ -166,7 +166,7 @@ def test_alpha_levels():
 
 def test_penalty_endpoint_structure():
     kv = open_uniform_knots(5, 7)
-    P = assemble_penalty(kv, 2, "endpoint").to_dense()
+    P = assemble_penalty(kv, 2).to_dense()
     np.testing.assert_array_equal(P, P.T)
     # entries scale like h^-8 here, so the rank cut must stay relative
     assert np.linalg.matrix_rank(P) == 2
@@ -177,23 +177,14 @@ def test_penalty_endpoint_structure():
         assert v @ P @ v >= -1e-12 * scale * (v @ v)
 
 
-def test_penalty_integral_matches_scipy():
-    kv = open_uniform_knots(4, 5)
-    P = assemble_penalty(kv, 1, "integral", rule=gauss_legendre(5)).to_dense()
-    ref = dense_scipy_matrix(kv, 2, npts=10)
-    np.testing.assert_allclose(P, ref, rtol=1e-10, atol=1e-8)
-
-
 def test_penalty_needs_valid_level():
     kv = open_uniform_knots(3, 5)
     with pytest.raises(ValueError):
         assemble_penalty(kv, 2)  # alpha(3) = 1
     with pytest.raises(ValueError):
         assemble_penalty(kv, 0)
-    with pytest.raises(ValueError):
-        assemble_penalty(kv, 1, "integral")  # missing rule
-    with pytest.raises(ValueError):
-        assemble_penalty(kv, 1, "no-such-variant")
+    with pytest.raises(TypeError):
+        assemble_penalty(kv, 1, "integral")  # interior is keyword-only
 
 
 def test_no_penalties_below_cubic():
@@ -202,7 +193,7 @@ def test_no_penalties_below_cubic():
     assert alpha_of(kv.p) == 0
     M = assemble_mass(kv, rule)
     K = assemble_stiffness(kv, rule, ONE)
-    Mt, Kt = penalized_forms(M, K, kv, rule=rule)
+    Mt, Kt = penalized_forms(M, K, kv)
     assert Mt is M and Kt is K
 
 
@@ -214,22 +205,18 @@ def test_penalized_forms_weights():
     h = kv.h
     M = assemble_mass(kv, rule)
     K = assemble_stiffness(kv, rule, ONE)
-    for variant in ("endpoint", "integral"):
-        levels = range(1, alpha_of(p) + 1)
-        matrices = [assemble_penalty(kv, ell, variant, rule) for ell in levels]
-        assert len(matrices) == 2
-        Mt, Kt = penalized_forms(M, K, kv, variant, rule)
-        expect_m = M.to_dense().copy()
-        expect_k = K.to_dense().copy()
-        for ell, P in zip(levels, matrices):
-            if variant == "endpoint":
-                wm, wk = h ** (4 * ell + 1), np.pi**2 * h ** (4 * ell - 1)
-            else:
-                wm, wk = h ** (6 * ell - 1), np.pi**2 * h ** (6 * ell - 3)
-            expect_m += wm * P.to_dense()
-            expect_k += wk * P.to_dense()
-        np.testing.assert_allclose(Mt.to_dense(), expect_m, rtol=1e-13)
-        np.testing.assert_allclose(Kt.to_dense(), expect_k, rtol=1e-13)
+    levels = range(1, alpha_of(p) + 1)
+    matrices = [assemble_penalty(kv, ell) for ell in levels]
+    assert len(matrices) == 2
+    Mt, Kt = penalized_forms(M, K, kv)
+    expect_m = M.to_dense().copy()
+    expect_k = K.to_dense().copy()
+    for ell, P in zip(levels, matrices):
+        wm, wk = h ** (4 * ell + 1), np.pi**2 * h ** (4 * ell - 1)
+        expect_m += wm * P.to_dense()
+        expect_k += wk * P.to_dense()
+    np.testing.assert_allclose(Mt.to_dense(), expect_m, rtol=1e-13)
+    np.testing.assert_allclose(Kt.to_dense(), expect_k, rtol=1e-13)
 
 
 def test_zero_weights_recover_standard_forms():
@@ -260,8 +247,6 @@ def test_per_level_weights():
     for bad in (-1.0, np.nan, np.inf, (1.0, -2.0)):
         with pytest.raises(ValueError, match="eta_b"):
             penalized_forms(M, K, kv, eta_b=bad)
-    with pytest.raises(ValueError, match="unknown penalty variant"):
-        penalized_forms(M, K, kv, variant="no-such-variant")
     # rejected even where there is no penalty level to weight
     kv2 = open_uniform_knots(2, 6)
     M2, K2 = assemble_mass(kv2, rule), assemble_stiffness(kv2, rule, ONE)
@@ -342,12 +327,10 @@ def test_banded_assembly_matches_dense_reference_exactly(p, interior):
             assert_banded_equals(assemble_stiffness(kv, rule, coeff, interior),
                                  dense_reference(kv, rule, 1, coeff, interior))
         for ell in range(1, alpha_of(p) + 1):
-            assert_banded_equals(assemble_penalty(kv, ell, "integral", rule, interior),
-                                 dense_reference(kv, rule, 2 * ell, None, interior))
             d0, d1 = boundary_derivative_vectors(kv, 2 * ell)
             if interior:
                 d0, d1 = d0[1:-1], d1[1:-1]
-            assert_banded_equals(assemble_penalty(kv, ell, "endpoint", interior=interior),
+            assert_banded_equals(assemble_penalty(kv, ell, interior=interior),
                                  np.outer(d0, d0) + np.outer(d1, d1))
 
 
@@ -382,17 +365,10 @@ def test_batched_assembly_equals_the_element_loop(p):
                 M, K = loop_product(kv, rule, 0), loop_product(kv, rule, 1, coeff)
                 np.testing.assert_array_equal(assemble_mass(kv, rule).ab, M.ab)
                 np.testing.assert_array_equal(assemble_stiffness(kv, rule, coeff).ab, K.ab)
-                levels = range(1, alpha_of(p) + 1)
-                integral = tuple(loop_product(kv, rule, 2 * ell) for ell in levels)
-                for ell, P in enumerate(integral, start=1):
-                    np.testing.assert_array_equal(
-                        assemble_penalty(kv, ell, "integral", rule).ab, P.ab)
-                for variant in ("endpoint", "integral"):
-                    # the integral levels were just checked against the loop
-                    got = penalized_forms(assemble_mass(kv, rule),
-                                          assemble_stiffness(kv, rule, coeff), kv, variant, rule)
-                    for g, want in zip(got, penalized_forms(M, K, kv, variant, rule)):
-                        np.testing.assert_array_equal(g.ab, want.ab)
+                got = penalized_forms(assemble_mass(kv, rule),
+                                      assemble_stiffness(kv, rule, coeff), kv)
+                for g, want in zip(got, penalized_forms(M, K, kv)):
+                    np.testing.assert_array_equal(g.ab, want.ab)
 
 
 def triu_dense(B):
@@ -409,10 +385,9 @@ def triu_dense(B):
 def test_dense_view_equals_the_triu_construction_bit_for_bit(p):
     for N in (2, 5, 40, 1000):
         for kappa in ("one", "exp"):
-            for variant in ("endpoint", "integral"):
-                d = build_1d(p, N, kappa, variant)
-                for B in (d.M, d.K, d.Mt, d.Kt):
-                    assert B.to_dense().tobytes() == triu_dense(B).tobytes()
+            d = build_1d(p, N, kappa)
+            for B in (d.M, d.K, d.Mt, d.Kt):
+                assert B.to_dense().tobytes() == triu_dense(B).tobytes()
 
 
 def test_dense_view_reads_a_stored_negative_zero_as_positive_zero():
@@ -452,31 +427,6 @@ def test_build_1d_evaluates_its_gauss_point_table_once(table_calls):
     evaluations go through spline_basis and are not counted here."""
     build_1d(5, 40)
     assert table_calls == [(40 * 6, 1)]
-
-
-def test_integral_penalty_levels_share_one_gauss_point_table(table_calls):
-    """p=7 has levels 1..3 (derivative orders 2, 4, 6): one table up to
-    order 6 serves them all, after the mass and stiffness table."""
-    build_1d(7, 40, variant="integral")
-    assert table_calls == [(40 * 8, 1), (40 * 8, 6)]
-
-
-@pytest.mark.parametrize("p", range(3, 14))
-def test_integral_penalized_forms_equal_the_per_level_fold_bit_for_bit(p):
-    """penalized_forms reads every level from one table; the fold assembles
-    each level from the rule on its own, with the same weights."""
-    for N in (2, 5, 40, 1000):
-        kv = open_uniform_knots(p, N)
-        h = kv.h
-        for rule in (gauss_legendre(p + 1), gauss_legendre(p + 3)):
-            M, K = assemble_mass(kv, rule), assemble_stiffness(kv, rule, ONE)
-            Mt, Kt = M, K
-            for ell in range(1, alpha_of(p) + 1):
-                P = assemble_penalty(kv, ell, "integral", rule)
-                Mt = Mt.add_scaled(P, h ** (6 * ell - 1))
-                Kt = Kt.add_scaled(P, np.pi**2 * h ** (6 * ell - 3))
-            got = penalized_forms(M, K, kv, "integral", rule)
-            assert [g.ab.tobytes() for g in got] == [Mt.ab.tobytes(), Kt.ab.tobytes()]
 
 
 def looped_load(kv, tables, f):

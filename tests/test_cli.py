@@ -228,13 +228,35 @@ def test_config_key_of_another_subcommand_rejected(tmp_path, line):
 
 
 @pytest.mark.parametrize("line", ["degrees = ,", "kappa = two", "dim = 4", "rho = 1.5",
-                                  "workers = 0"])
+                                  "workers = 0", "variant = integral"])
 def test_config_value_checked_like_its_flag(tmp_path, line):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[spectrum]\n{line}\n")
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+# Small meshes, so that a parser that still accepted the value would finish fast.
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--degrees", "3", "--elements", "5"],
+    ["convergence", "--degrees", "3", "--elements", "4,8", "--steps", "10"],
+    ["stability-region", "--degrees", "3", "--elements", "5"],
+    ["solve", "--degrees", "3", "--elements", "5", "--steps", "10"],
+], ids=lambda argv: argv[0])
+def test_integral_variant_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--variant", "integral", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'integral'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_variant_flag_changes_no_byte(tmp_path):
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    assert main(["spectrum", "--out", str(plain)]) == 0
+    assert main(["spectrum", "--variant", "boundary-point", "--out", str(flagged)]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
 
 
 def test_space_mode_needs_two_element_counts(tmp_path, capsys):

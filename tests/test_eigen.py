@@ -36,7 +36,7 @@ def system(p, N, coeff=ONE, penalized=False):
     M = assemble_mass(kv, rule)
     K = assemble_stiffness(kv, rule, coeff)
     if penalized:
-        M, K = penalized_forms(M, K, kv, rule=rule)
+        M, K = penalized_forms(M, K, kv)
     return M, K
 
 

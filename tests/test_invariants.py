@@ -16,35 +16,33 @@ from igawave.integrator import critical_omega, initial_state, integrate, params_
 degrees = st.integers(1, 7)
 meshes = st.integers(2, 40)
 kappas = st.sampled_from(["one", "exp"])
-variants = st.sampled_from(["endpoint", "integral"])
 weights = st.floats(0.0, 4.0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(degrees, meshes, kappas, variants, weights, weights)
-def test_operators_are_positive_definite(p, N, kappa, variant, eta_a, eta_b):
-    d = build_1d(p, N, kappa, variant, eta_a, eta_b)
+@given(degrees, meshes, kappas, weights, weights)
+def test_operators_are_positive_definite(p, N, kappa, eta_a, eta_b):
+    d = build_1d(p, N, kappa, eta_a, eta_b)
     for A in (d.M, d.K, d.Mt, d.Kt):
         assert dpbtrf(A.ab)[1] == 0  # INFO 0: the banded Cholesky exists
 
 
 @settings(max_examples=30, deadline=None)
-@given(degrees, meshes, kappas, variants)
-def test_zero_weights_give_the_standard_pair_bit_for_bit(p, N, kappa, variant):
-    d = build_1d(p, N, kappa, variant, eta_a=0.0, eta_b=0.0)
+@given(degrees, meshes, kappas)
+def test_zero_weights_give_the_standard_pair_bit_for_bit(p, N, kappa):
+    d = build_1d(p, N, kappa, eta_a=0.0, eta_b=0.0)
     np.testing.assert_array_equal(d.Mt.ab, d.M.ab)
     np.testing.assert_array_equal(d.Kt.ab, d.K.ab)
 
 
 # The scope where the penalty leaves the low third of the modes in place to
-# 1e-4 relative: endpoint variant, kappa = one, equal weights.  The largest
-# shift there is 3.04e-5 (p = 3, N = 5, eta = 4).  Outside it the shift is
-# larger: 4.9e-3 with kappa = exp, 1.84 for the integral variant at p = 5,
-# N = 5, and 0.65 with eta_a = 0.5, eta_b = 4 at p = 6, N = 5.
+# 1e-4 relative: kappa = one, equal weights.  The largest shift there is
+# 3.04e-5 (p = 3, N = 5, eta = 4).  Outside it the shift is larger: 4.9e-3
+# with kappa = exp, and 0.65 with eta_a = 0.5, eta_b = 4 at p = 6, N = 5.
 @settings(max_examples=25, deadline=None)
 @given(st.integers(3, 7), st.integers(5, 80), st.sampled_from([0.5, 1.0, 4.0]))
 def test_penalty_leaves_the_low_third_of_the_modes(p, N, eta):
-    d = build_1d(p, N, "one", "endpoint", eta, eta)
+    d = build_1d(p, N, "one", eta, eta)
     lam = full_spectrum(d.K, d.M).eigenvalues
     lam_t = full_spectrum(d.Kt, d.Mt).eigenvalues
     low = lam.size // 3

@@ -161,11 +161,10 @@ def test_eigh_rejects_an_indefinite_or_non_finite_pair():
 def test_full_spectrum_is_scipy_eigh_bit_for_bit(p):
     for N in (2, 5, 20, 80):
         for kappa in ("one", "exp"):
-            for variant in ("endpoint", "integral"):
-                d = build_1d(p, N, kappa, variant)
-                for K, M in ((d.K, d.M), (d.Kt, d.Mt)):
-                    want = scipy.linalg.eigh(K.to_dense(), M.to_dense())[0]
-                    assert full_spectrum(K, M).eigenvalues.tobytes() == want.tobytes()
+            d = build_1d(p, N, kappa)
+            for K, M in ((d.K, d.M), (d.Kt, d.Mt)):
+                want = scipy.linalg.eigh(K.to_dense(), M.to_dense())[0]
+                assert full_spectrum(K, M).eigenvalues.tobytes() == want.tobytes()
 
 
 def test_full_spectrum_of_an_indefinite_mass_is_a_numerical_failure():
