@@ -21,7 +21,7 @@ import igawave
 from igawave.assembly_1d import assemble_load, element_tables
 from igawave.cli import main
 from igawave.eigen import max_eigenvalue, top_eigenvalue
-from igawave.experiments import build_1d, spectrum_table
+from igawave.experiments import _process_map, build_1d, spectrum_table
 from igawave.integrator import critical_omega, initial_state, integrate, params_from_rho
 from igawave.mms_errors import l2_error, l2_error_2d, manufactured_case
 from igawave.quadrature import gauss_legendre, map_to_element
@@ -205,6 +205,28 @@ def test_cli_defaults(benchmark, tmp_path, argv):
     out = tmp_path / "out.csv"
     assert benchmark.pedantic(main, args=(argv + ["--out", str(out)],),
                               rounds=3, iterations=1) == 0
+
+
+def noop(item):
+    return item
+
+
+def test_process_map_12_noop_cells_2_workers(benchmark):
+    """The fixed cost of the two-worker map: forking, dispatch, results and reaping."""
+    assert benchmark(_process_map, noop, list(range(12)), 2) == list(range(12))
+
+
+# The two requests of the benchmark workloads that run their cells on two
+# worker processes, in process.
+@pytest.mark.parametrize("argv", [
+    pytest.param(["spectrum", "--degrees", "3,4,5,6", "--elements", "250,500,1000"],
+                 id="spectrum-eigen"),
+    pytest.param(["convergence", "--mode", "space", "--dim", "2"], id="convergence-2d"),
+])
+def test_cli_two_workers(benchmark, tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert benchmark.pedantic(main, args=(argv + ["--workers", "2", "--out", str(out)],),
+                              rounds=12, iterations=1, warmup_rounds=1) == 0
 
 
 ONE_THREAD_ENV = dict(os.environ, PYTHONPATH=str(Path(igawave.__file__).parents[1]),

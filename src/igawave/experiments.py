@@ -1,13 +1,17 @@
 """Experiment drivers: spectral tables, convergence studies, stability maps.
 
-Everything here is deterministic by construction: table cells run on a
-pool of forked processes but are collected in sorted order, seeds are
-fixed, and CSV output formats floats with full precision so repeated runs
-produce identical bytes.
+Everything here is deterministic by construction: table cells run on
+forked worker processes, largest first, but are collected in sorted
+order, seeds are fixed, and CSV output formats floats with full precision
+so repeated runs produce identical bytes.
 """
 
 import functools
 import math
+import os
+import pickle
+import selectors
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,41 +93,131 @@ def _pool_map(fn, items, workers):
     return [fn(it) for it in items]
 
 
-# The cell function of the process pool, set in each worker by _set_cell.
-_CELL = None
+def _read_exact(fd, n):
+    """n bytes from fd, or fewer if the writer closed its end first."""
+    buf = b""
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            break
+        buf += chunk
+    return buf
 
 
-def _set_cell(fn):
-    global _CELL
-    _CELL = fn
+def _worker(fn, items, task_fd, result_fd, inherited):
+    """A forked child's loop: read an item index, write its outcome, until EOF.
 
-
-def _run_cell(item):
-    return _CELL(item)
+    inherited are the parent's ends of the other children's pipes, closed
+    first so that each child holds only its own.  An outcome is an 8-byte
+    length and the pickle of (ok, value), value being fn's row or the
+    exception that stopped it; an outcome that cannot be pickled ends the
+    child with status 1.  The child never returns: it leaves
+    through os._exit, so none of the parent's clean-up runs twice and
+    the stdout buffer it inherited is never written a second time.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while len(index_bytes := _read_exact(task_fd, 4)) == 4:
+            i = int.from_bytes(index_bytes, "little")
+            try:
+                outcome = (True, fn(items[i]))
+            except BaseException as exc:  # raised in the parent, as the serial map would
+                outcome = (False, exc)
+            body = pickle.dumps(outcome)
+            msg = len(body).to_bytes(8, "little") + body
+            while msg:
+                msg = msg[os.write(result_fd, msg):]
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _process_map(fn, items, workers):
     """_pool_map over forked worker processes, for cells that hold the GIL.
 
+    Callers list their items in ascending order of cost ((p, N) cells,
+    step counts), and the largest-first dispatch below relies on it.
+
     Time-stepping cells spend most of their time in small numpy calls, and
     eigenvalue cells in LAPACK calls (dpbtrf) that keep the GIL, so threads
-    serialize them; processes do not.  fn reaches the workers through the
-    pool initializer and is inherited by the fork, never pickled, so
-    closures work; items and results are pickled.  Where
-    fork is unavailable this is the serial map.  Not spawn: a spawned
-    worker imports the library afresh, about 0.33 s on 2 cores (the
-    fresh-interpreter bench in benchmarks/test_layers.py), which is longer
-    than a whole default 2D study.
-    """
-    if workers <= 1 or len(items) <= 1:
-        return _pool_map(fn, items, workers)
-    import multiprocessing
+    serialize them; processes do not.  min(workers, len(items)) children
+    are forked and inherit fn, never pickled, so closures work.  Each
+    child's own pipe hands it one item index at a time, from the last item
+    down, and whichever child answers next gets the next index: the
+    largest cells start first and the small ones fill in behind them.
 
-    if "fork" not in multiprocessing.get_all_start_methods():
+    Rows come back in item order, the same as the serial map's.  A failed
+    cell raises the exception of the lowest failing index, as the serial
+    map would; a child that dies without answering raises RuntimeError
+    naming its signal or exit status.  On every way out the parent kills
+    any child still running and reaps them all.  Where fork is unavailable
+    this is the serial map.  Not spawn: a spawned worker imports the
+    library afresh, about 0.33 s on 2 cores (the fresh-interpreter bench in
+    benchmarks/test_layers.py), which is longer than a whole default 2D
+    study.
+    """
+    if workers <= 1 or len(items) <= 1 or not hasattr(os, "fork"):
         return _pool_map(fn, items, workers)
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, len(items)), initializer=_set_cell, initargs=(fn,)) as pool:
-        return pool.map(_run_cell, items, chunksize=1)
+    todo = list(range(len(items)))  # popped from the end: the largest cell first
+    rows = [None] * len(items)
+    failures = {}
+    children = {}  # result fd -> [pid or None once reaped, task fd, index running or None]
+
+    def dispatch(child):
+        child[2] = todo.pop() if todo else None
+        if child[2] is not None:
+            os.write(child[1], child[2].to_bytes(4, "little"))
+
+    try:
+        for _ in range(min(workers, len(items))):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                inherited = [task_w, result_r, *children, *(c[1] for c in children.values())]
+                _worker(fn, items, task_r, result_w, inherited)
+            os.close(task_r)
+            os.close(result_w)
+            children[result_r] = [pid, task_w, None]
+        with selectors.DefaultSelector() as sel:
+            for fd, child in children.items():
+                sel.register(fd, selectors.EVENT_READ)
+                dispatch(child)
+            while any(c[2] is not None for c in children.values()):
+                for key, _ in sel.select():
+                    child = children[key.fd]
+                    head = _read_exact(key.fd, 8)
+                    size = int.from_bytes(head, "little")
+                    body = _read_exact(key.fd, size) if len(head) == 8 else b""
+                    if len(head) < 8 or len(body) < size:
+                        pid, child[0] = child[0], None
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                        how = f"signal {signal.Signals(-code).name}" if code < 0 else f"status {code}"
+                        raise RuntimeError(
+                            f"worker process {pid} died with {how} while running cell {child[2]}"
+                        )
+                    ok, value = pickle.loads(body)
+                    if ok:
+                        rows[child[2]] = value
+                    else:
+                        failures[child[2]] = value
+                    dispatch(child)
+    except BaseException:
+        for pid, _, _ in children.values():
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd, (pid, task_w, _) in children.items():
+            os.close(task_w)  # an idle child reads EOF and leaves
+            os.close(fd)
+            if pid is not None:
+                os.waitpid(pid, 0)
+    if failures:
+        raise failures[min(failures)]
+    return rows
 
 
 def spectrum_table(

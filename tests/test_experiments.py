@@ -1,17 +1,42 @@
-"""Study drivers: rows from the forked process pool equal the serial rows,
-and the library entry points reject counts and times no run can take."""
+"""Study drivers: rows from the forked workers equal the serial rows, the
+dispatcher keeps its contract, and the library entry points reject counts
+and times no run can take."""
 
-import multiprocessing
+import contextlib
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import igawave
 from igawave import experiments as ex
 
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail with TimeoutError, not a hang, if the block runs past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
@@ -24,6 +49,93 @@ def test_process_map_runs_closures_in_forked_workers():
     out = ex._process_map(cell, [1, 2, 3, 4], 2)
     assert [v for v, _ in out] == [11, 12, 13, 14]
     assert os.getpid() not in {pid for _, pid in out}
+
+
+@needs_fork
+def test_a_worker_killed_by_a_signal_raises_promptly():
+    parent = os.getpid()
+
+    def cell(item):
+        if item == 2 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item
+
+    with deadline(20), pytest.raises(RuntimeError, match="SIGKILL while running cell 2"):
+        ex._process_map(cell, [0, 1, 2, 3], 2)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_the_lowest_failing_cell_raises_as_in_the_serial_map():
+    def cell(item):
+        if item == 1:
+            raise ValueError("cell 1")
+        if item == 3:
+            raise KeyError("cell 3")  # runs first: the dispatch goes from the last item down
+        return item
+
+    for workers in (1, 2, 3):
+        with pytest.raises(ValueError, match="cell 1"):
+            ex._process_map(cell, list(range(5)), workers)
+
+
+@needs_fork
+def test_the_largest_cells_start_first(tmp_path):
+    log = tmp_path / "started"
+
+    def cell(item):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, b"%d\n" % item)
+        os.close(fd)
+        end = time.monotonic() + 5.0  # hold until both workers have started a cell
+        while len(log.read_bytes().split()) < 2 and time.monotonic() < end:
+            time.sleep(0.001)
+        return item
+
+    assert ex._process_map(cell, list(range(6)), 2) == list(range(6))
+    started = [int(s) for s in log.read_text().split()]
+    assert sorted(started[:2]) == [4, 5]
+    assert sorted(started) == list(range(6))
+
+
+@needs_fork
+def test_no_worker_is_left_after_success_or_failure():
+    items = list(range(-40, 0))  # more workers than a small machine has cores
+    assert ex._process_map(abs, items, 5) == [abs(i) for i in items]
+    assert_no_child_left()
+    with pytest.raises(ZeroDivisionError):
+        ex._process_map(lambda x: 1 / x, [1, 0, 2], 2)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_an_interrupt_kills_and_reaps_the_workers():
+    parent = os.getpid()
+
+    def cell(item):
+        if item == 0:
+            os.kill(parent, signal.SIGINT)
+        time.sleep(30)
+
+    start = time.monotonic()
+    with deadline(20), pytest.raises(KeyboardInterrupt):
+        ex._process_map(cell, [0, 1], 2)
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def test_pooled_studies_load_no_multiprocessing(tmp_path):
+    code = f"""
+import sys
+from igawave.cli import main
+for argv in (["spectrum"], ["convergence", "--dim", "2"]):
+    assert main(argv + ["--workers", "2", "--out", {str(tmp_path / "out.csv")!r}]) == 0
+print("multiprocessing" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(igawave.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("dim, elements, n_steps", [(1, [4, 8], 40), (2, [4, 6], 10)])
