@@ -91,6 +91,14 @@ def test_max_eigenvalue_2d_standard_p3_n8(benchmark):
     assert benchmark(max_eigenvalue_2d_standard_p3_n8).residual <= 1e-6
 
 
+def test_max_eigenvalue_penalized_p7_n20(benchmark):
+    """A penalized pair with cond(M) near 1e11, mass factorization included."""
+    d = build_1d(7, 20)
+    res = benchmark(lambda: max_eigenvalue(d.Kt.matvec, d.Mt.factor(), d.Kt.n,
+                                           apply_M=d.Mt.matvec))
+    assert res.value / (20 * np.pi) ** 2 == pytest.approx(1.0, abs=0.01)
+
+
 @pytest.fixture(scope="module")
 def penalized_n1003():
     d = build_1d(5, 1000)

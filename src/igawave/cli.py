@@ -18,13 +18,6 @@ import sys
 
 from . import experiments as ex
 
-# The column subsets of spectrum's --penalty off/on; --penalty both writes every column.
-SPECTRUM_COLUMNS = {
-    "off": ["p", "N", "lambda", "tau_c"],
-    "on": ["p", "N", "lambda_tilde", "tau_c_tilde"],
-}
-
-
 def _csv_ints(text):
     try:
         values = [int(v) for v in text.split(",") if v.strip()]
@@ -188,9 +181,9 @@ def _problem(args):
     return dict(kappa=args.kappa, eta_a=args.eta_a, eta_b=args.eta_b)
 
 
-def _write(args, rows, xcol, ycols, header=None, **scales):
-    """Write rows under header (default: the rows' own keys) and any gnuplot script."""
-    header = header or list(rows[0])
+def _write(args, rows, xcol, ycols, **scales):
+    """Write rows under their own keys, and any gnuplot script."""
+    header = list(rows[0])
     ex.write_csv(args.out, header, rows)
     if args.gnuplot:
         ex.write_gnuplot_script(args.gnuplot, args.out, header, xcol, ycols, **scales)
@@ -198,10 +191,8 @@ def _write(args, rows, xcol, ycols, header=None, **scales):
 
 def _run_spectrum(parser, args):
     rows = ex.spectrum_table(args.degrees, args.elements, dim=args.dim, rho=args.rho,
-                             workers=args.workers, **_problem(args))
-    header = SPECTRUM_COLUMNS.get(args.penalty, list(rows[0]))
-    _write(args, rows, "N", [h for h in header if h.startswith("tau")], header,
-           logx=True, logy=True)
+                             workers=args.workers, penalty=args.penalty, **_problem(args))
+    _write(args, rows, "N", [h for h in rows[0] if h.startswith("tau")], logx=True, logy=True)
     return 0
 
 

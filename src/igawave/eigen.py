@@ -23,10 +23,21 @@ Full reorthogonalization keeps the basis orthogonal without the
 bookkeeping of selective schemes, and a restart keeps the top half of the
 Ritz vectors (thick restart), so a near-degenerate top pair is not lost.
 Penalized spectra end in such a pair (one pinned mode per boundary), which
-stalls power iteration but not a Krylov method.  A few sweeps
-u <- M^-1 K u then bring the residual of the returned vector under its
-target; a run that cannot get there raises NumericalFailure rather than
-returning a value.
+stalls power iteration but not a Krylov method.  The route returns the
+Rayleigh quotient of the Lanczos vector.
+
+Both non-banded routes judge their top pair (theta, x) by one relative
+backward error in the M inner product (Parlett, The Symmetric Eigenvalue
+Problem, ch. 15):
+
+    eta = ||K x - theta M x||_{M^-1} / (|theta| ||x||_M).
+
+theta then lies within eta |theta| of some eigenvalue of the pair.  A
+residual in the units of lambda is out of float64's reach on penalized
+pairs, where cond(M) reaches 1e11; eta is not.  The matrix-free route gets
+the M^-1 norm from one more mass solve; the dense route from its
+eigenvectors, since V^T M V = I gives M^-1 = V V^T.  Above ETA_BOUND a
+route raises NumericalFailure rather than return the value.
 
 Both iterative routes start from reproducible data: entry i of a seeded
 start block is the (i+1)-th output of the SplitMix64 generator seeded with
@@ -49,6 +60,7 @@ __all__ = ["NumericalFailure", "SpectrumResult", "PowerResult", "full_spectrum",
 
 DENSE_LIMIT = 2000
 EPS = np.finfo(float).eps
+ETA_BOUND = 1e-2  # largest backward error a returned top pair may have; README has the table
 
 GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's state increment, 2^64 / golden ratio
 
@@ -77,7 +89,7 @@ def start_data(shape, seed):
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Ascending eigenvalues plus the residual of the top pair."""
+    """Ascending eigenvalues plus the backward error eta of the top pair."""
 
     eigenvalues: np.ndarray = field(repr=False)
     top_residual: float
@@ -106,21 +118,33 @@ def _eigh(A, B):
     return w, V
 
 
+def _backward_error(theta, r_norm, x_norm):
+    """eta = r_norm / (|theta| x_norm) of a top pair; NumericalFailure above ETA_BOUND."""
+    eta = float(r_norm / (abs(theta) * x_norm))
+    if not eta <= ETA_BOUND:
+        raise NumericalFailure(f"backward error {eta:.2e} of the top pair is above {ETA_BOUND:.0e}")
+    return eta
+
+
 def full_spectrum(K, M):
     """All eigenvalues of K u = lambda M u by a dense symmetric solve.
 
     Accepts ndarrays or anything with a to_dense() method; refuses systems
     larger than 2000 unknowns, which top_eigenvalue or max_eigenvalue should
-    handle.  An M that is not positive definite raises NumericalFailure.
+    handle.  top_residual is the backward error eta of the top pair (module
+    docstring), ||V^T r|| / (|theta| ||x||_M) with the residual r and the
+    M-orthonormal eigenvectors V.  An M that is not positive definite, or an
+    eta above ETA_BOUND (a wrong top value: penalized pairs of degree 11 and
+    above), raises NumericalFailure.
     """
     Kd, Md = (a if isinstance(a, np.ndarray) else a.to_dense() for a in (K, M))
     if Kd.shape[0] > DENSE_LIMIT:
         raise ValueError(f"dense route limited to {DENSE_LIMIT} unknowns, got {Kd.shape[0]}")
     vals, vecs = _eigh(Kd, Md)
-    u = vecs[:, -1]
-    mu = Md @ u
-    res = float(np.linalg.norm(Kd @ u - vals[-1] * mu) / np.linalg.norm(mu))
-    return SpectrumResult(eigenvalues=vals, top_residual=res)
+    x, theta = vecs[:, -1], vals[-1]
+    mx = Md @ x
+    eta = _backward_error(theta, np.linalg.norm(vecs.T @ (Kd @ x - theta * mx)), math.sqrt(x @ mx))
+    return SpectrumResult(eigenvalues=vals, top_residual=eta)
 
 
 BLOCK = 3  # shift-invert vectors: a near-degenerate top pair and one more
@@ -256,18 +280,8 @@ def _lanczos(apply_K, solve_M, apply_M, v, tol, cycles):
     raise NumericalFailure(f"Lanczos did not converge in {cycles} restarts")
 
 
-def max_eigenvalue(
-    apply_K,
-    solve_M,
-    n,
-    tol=1e-10,
-    *,
-    apply_M,
-    max_iter=50_000,
-    seed=42,
-    residual_target=1e-6,
-):
-    """Largest generalized eigenvalue by Lanczos plus residual sweeps.
+def max_eigenvalue(apply_K, solve_M, n, tol=1e-10, *, apply_M, max_iter=50_000, seed=42):
+    """Largest generalized eigenvalue by thick-restart Lanczos.
 
     Parameters
     ----------
@@ -278,35 +292,29 @@ def max_eigenvalue(
         Ritz pair, relative to the Ritz value.
     max_iter : budget for the Lanczos cycles of up to 64 steps (the first
         from the seeded start, each later one restarted from the top 32
-        Ritz vectors) and, separately, for the residual sweeps.
+        Ritz vectors).
     seed : start-vector seed, an int in [0, 2^64) (ValueError otherwise).
         The start vector is start_data((n,), seed), uniform on [-1, 1), so
         equal seeds give identical runs.
-    residual_target : bound the relative residual of the returned pair must
-        meet.  The Ritz value is quadratically accurate in the eigenvector
-        error, so on an ill-conditioned mass the Lanczos vector can miss
-        this bound while its value is already right; sweeps
-        u <- M^-1 K u then sharpen the vector at no cost to the value.
 
     Returns
     -------
     PowerResult
-        The Rayleigh quotient of the returned vector, the number of K
-        applications, converged=True, and the relative residual
-        ||K u - lambda M u|| / ||M u|| of the pair.
+        The Rayleigh quotient of the Lanczos vector, the number of K
+        applications (one more than Lanczos made), converged=True, and the
+        backward error eta of the pair (module docstring), which costs one
+        K apply, one M apply and one M solve.
 
     Raises
     ------
     NumericalFailure
-        When Lanczos does not converge within max_iter cycles, or the
-        residual is still above residual_target after max_iter sweeps.
+        When Lanczos does not converge within max_iter cycles, or eta is
+        above ETA_BOUND.
     """
     if n < 2:
         raise ValueError(f"Lanczos needs at least 2 unknowns, got {n}; use full_spectrum")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    if residual_target <= 0:
-        raise ValueError("residual target must be positive")
 
     k_applies = 0
 
@@ -315,16 +323,9 @@ def max_eigenvalue(
         k_applies += 1
         return apply_K(v)
 
-    v0 = start_data((n,), seed)
-    u = _lanczos(counted_K, solve_M, apply_M, v0, tol, max_iter)
-    for _ in range(max_iter + 1):  # the Lanczos vector, then one per sweep
-        ku, mu = counted_K(u), apply_M(u)
-        value = float(u @ ku / (u @ mu))
-        residual = float(np.linalg.norm(ku - value * mu) / np.linalg.norm(mu))
-        if residual <= residual_target:
-            return PowerResult(value=value, iterations=k_applies, converged=True, residual=residual)
-        u = solve_M(ku)
-        u /= np.linalg.norm(u)
-    raise NumericalFailure(
-        f"residual {residual:.2e} still above {residual_target:.2e} after {max_iter} sweeps"
-    )
+    u = _lanczos(counted_K, solve_M, apply_M, start_data((n,), seed), tol, max_iter)
+    ku, mu = counted_K(u), apply_M(u)
+    value = float(u @ ku / (u @ mu))
+    r = ku - value * mu
+    eta = _backward_error(value, math.sqrt(max(r @ solve_M(r), 0.0)), math.sqrt(u @ mu))
+    return PowerResult(value=value, iterations=k_applies, converged=True, residual=eta)

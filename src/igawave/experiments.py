@@ -229,9 +229,13 @@ def spectrum_table(
     eta_a=1.0,
     eta_b=1.0,
     workers=4,
+    penalty="both",
 ):
     """Largest standard/penalized eigenvalues and critical steps per (p, N).
 
+    penalty picks the pairs that are solved: "off" the standard pair
+    (columns lambda, tau_c), "on" the penalized one (lambda_tilde,
+    tau_c_tilde), "both" the two plus their step ratio.
     In 2D and 3D the axes are identical, and the eigenvalues of the tensor
     pair are sums of per-axis eigenvalues, so the maximum is dim times the
     1D maximum, which top_eigenvalue computes from the banded 1D pair.
@@ -239,6 +243,8 @@ def spectrum_table(
 
     Returns a list of row dicts sorted by (p, N).
     """
+    if penalty not in ("off", "on", "both"):
+        raise ValueError(f"penalty must be 'off', 'on' or 'both', got {penalty!r}")
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if kappa_variant(kappa).name != "one" and dim != 1:
@@ -250,22 +256,20 @@ def spectrum_table(
     c_rho = critical_omega(params)
     cells = sorted((p, N) for p in degrees for N in elements)
 
+    suffixes = {"off": [""], "on": ["_tilde"], "both": ["", "_tilde"]}[penalty]
+
     def one(cell):
         p, N = cell
         d = build_1d(p, N, kappa, eta_a, eta_b)
-        lam = dim * top_eigenvalue(d.K, d.M)
-        lam_t = dim * top_eigenvalue(d.Kt, d.Mt)
-        tau = c_rho / np.sqrt(lam)
-        tau_t = c_rho / np.sqrt(lam_t)
-        return {
-            "p": p,
-            "N": N,
-            "lambda": lam,
-            "lambda_tilde": lam_t,
-            "tau_c": tau,
-            "tau_c_tilde": tau_t,
-            "ratio": tau_t / tau,
-        }
+        pairs = {"": (d.K, d.M), "_tilde": (d.Kt, d.Mt)}
+        lam = {s: dim * top_eigenvalue(*pairs[s]) for s in suffixes}
+        tau = {s: c_rho / np.sqrt(lam[s]) for s in suffixes}
+        row = {"p": p, "N": N}
+        row.update({f"lambda{s}": lam[s] for s in suffixes})
+        row.update({f"tau_c{s}": tau[s] for s in suffixes})
+        if penalty == "both":
+            row["ratio"] = tau["_tilde"] / tau[""]
+        return row
 
     return _process_map(one, cells, workers)
 

@@ -46,6 +46,41 @@ def test_spectrum_penalty_column_subsets(tmp_path):
     assert read_csv(out_on)[0] == ["p", "N", "lambda_tilde", "tau_c_tilde"]
 
 
+def test_spectrum_penalty_off_and_on_are_columns_of_both(tmp_path):
+    paths = {pen: tmp_path / f"{pen}.csv" for pen in ("off", "on", "both")}
+    for pen, path in paths.items():
+        assert main(["spectrum", "--degrees", "3,4,5,6", "--penalty", pen,
+                     "--out", str(path)]) == 0
+    both = [line.split(",") for line in paths["both"].read_text().splitlines()]
+    for pen, cols in (("off", [0, 1, 2, 4]), ("on", [0, 1, 3, 5])):
+        want = "".join(",".join(cells[i] for i in cols) + "\n" for cells in both)
+        assert paths[pen].read_text() == want
+
+
+def test_spectrum_penalty_off_solves_only_the_standard_pair(tmp_path, monkeypatch):
+    import igawave.experiments as ex
+
+    built, solved = [], []
+    build_1d, top_eigenvalue = ex.build_1d, ex.top_eigenvalue
+    monkeypatch.setattr(ex, "build_1d", lambda *a: built.append(build_1d(*a)) or built[-1])
+    monkeypatch.setattr(ex, "top_eigenvalue",
+                        lambda K, M: solved.append((K, M)) or top_eigenvalue(K, M))
+    assert main(["spectrum", "--degrees", "3,4", "--elements", "5,10", "--penalty", "off",
+                 "--workers", "1", "--out", str(tmp_path / "off.csv")]) == 0
+    assert len(built) == 4
+    assert solved == [(d.K, d.M) for d in built]
+
+
+def test_spectrum_penalty_off_where_the_penalized_pair_does_not_settle(tmp_path):
+    # The penalized p=9, N=80 pair does not settle (tests/test_symbol.py).
+    # --penalty off does not solve it, so only --penalty both exits 3.
+    out = tmp_path / "off.csv"
+    args = ["spectrum", "--degrees", "9", "--elements", "80", "--workers", "1"]
+    assert main(args + ["--penalty", "off", "--out", str(out)]) == 0
+    assert read_csv(out)[0] == ["p", "N", "lambda", "tau_c"]
+    assert main(args + ["--out", str(tmp_path / "both.csv")]) == 3
+
+
 def test_reruns_are_byte_identical(tmp_path):
     args = ["spectrum", "--degrees", "4", "--elements", "5,10", "--rho", "0.5"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -200,6 +200,7 @@ def test_blow_up_in_a_worker_reaches_the_caller():
      "seed"),
     ("free_run", {"p": 3, "N": 10, "rho": 1.0, "tau_factor": 0.5, "n_steps": 5, "seed": -1},
      "seed"),
+    ("spectrum_table", {"degrees": [3], "elements": [10], "penalty": "yes"}, "penalty"),
 ])
 def test_run_arguments_checked_before_any_work(study, kwargs, argument):
     with pytest.raises(ValueError, match=rf"^{argument} must"):
