@@ -107,7 +107,7 @@ def penalized_n1003():
 
 def test_stiffness_apply_n1003(benchmark, penalized_n1003):
     K, _, x = penalized_n1003
-    K.matvec(x)  # the dense copy is built once, outside the timing
+    K.matvec(x)  # the row blocks are built once, outside the timing
     assert benchmark(K.matvec, x).shape == x.shape
 
 
@@ -137,7 +137,9 @@ def test_integrate_1000_steps_p5_n40(benchmark):
 
 
 def test_to_dense_n1004(benchmark):
-    """The dense view of free_run's penalized stiffness, built afresh each round."""
+    """The dense view of the penalized stiffness at p=6, N=1000, built afresh
+    each round: the size full_spectrum and the Kronecker operators pay for
+    (the 1D apply and free_run use the row blocks instead)."""
     K = build_1d(6, 1000).Kt
 
     def clear():
@@ -145,6 +147,15 @@ def test_to_dense_n1004(benchmark):
 
     dense = benchmark.pedantic(K.to_dense, setup=clear, rounds=50, iterations=1)
     assert dense.shape == (1004, 1004)
+
+
+def test_row_blocks_n1004(benchmark):
+    """The row-block windows of free_run's penalized stiffness, which its
+    first apply builds; _row_blocks does not cache, so each round builds
+    them afresh."""
+    K = build_1d(6, 1000).Kt
+    blocks = benchmark.pedantic(K._row_blocks, rounds=50, iterations=1)
+    assert len(blocks) == 8 and K._dense is None
 
 
 def kron_2d(p, N):
@@ -261,8 +272,9 @@ with open("/proc/self/status") as status:
 def test_free_run_fresh_interpreter(benchmark):
     """A short free run at p=6, N=1000 in a new interpreter with one BLAS
     thread: imports, assembly, the top eigenvalue, the seeded start and the
-    dense stiffness view.  extra_info["peak_rss_mb"] is the median of the
-    children's own peak resident set, VmHWM in kB.  Not ru_maxrss: exec
+    row blocks of the stiffness apply.  extra_info["peak_rss_mb"] is the
+    median of the children's own peak resident set, VmHWM in kB.  Not
+    ru_maxrss: exec
     carries the launching process's peak into the child's ru_maxrss, so
     under this pytest process it would read the benches run before."""
     peaks = []

@@ -5,10 +5,11 @@ step of `integrate` is one load evaluation, one stiffness apply, one banded
 (or per-axis) mass solve and a fixed handful of in-place vector updates on
 buffers allocated once per run, plus a max-abs scan for blow-up; nothing
 else grows with the number of steps.  On small meshes the fixed cost of a
-dozen numpy calls outweighs the solve and the apply; at n = 1003 the dense
-stiffness apply outweighs the banded solve.  `benchmarks/test_layers.py`
-times both sizes.  `step` is the allocating single-step reference that
-`integrate` reproduces bit for bit.
+dozen numpy calls outweighs the solve and the apply; at n = 1003 the
+stiffness apply, one BLAS product per row block of the band, costs about
+1.2 banded solves (28 against 24 us), where a dense apply cost 14.
+`benchmarks/test_layers.py` times both sizes.  `step` is the allocating
+single-step reference that `integrate` reproduces bit for bit.
 
 The update family is parametrized by rho in [0, 1], which controls
 high-frequency dissipation; rho = 1 conserves, rho = 0 damps the most.

@@ -2,7 +2,11 @@
 and the algebraic properties the solvers rely on (symmetry, SPD, bands).
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +143,7 @@ def test_banded_storage_round_trip():
     B = banded_from_dense(a, u)
     np.testing.assert_array_equal(B.to_dense(), a)
     x = rng.standard_normal(7)
-    np.testing.assert_allclose(B.matvec(x), a @ x, rtol=1e-14)
+    np.testing.assert_array_equal(B.matvec(x), a @ x)
 
 
 def test_banded_add_scaled_and_factor():
@@ -456,3 +460,91 @@ def test_load_equals_the_element_loop_bit_for_bit(p):
                 want = looped_load(kv, tables, f).tobytes()
                 assert assemble_load(kv, rule, f).tobytes() == want
                 assert assemble_load(kv, tables, f).tobytes() == want
+
+
+# The stiffness apply runs on row-block windows of the band.  Its reference
+# is the dense product on one BLAS thread, computed in a child process: on
+# two or more threads OpenBLAS splits a large dense product across threads
+# and can round it differently, while the windowed apply does not depend on
+# the thread count.  Sizes straddle the row-block edges at 128 and 256.
+APPLY_SIZES = (127, 128, 129, 130, 131, 132, 133, 255, 256, 257, 258, 259, 1004)
+APPLY_SCALES = (1.0, 1e3)
+
+ONE_THREAD_DENSE = """
+import sys
+import numpy as np
+from igawave.experiments import build_1d
+out = {}
+for p in range(1, 11):
+    for n in %r:
+        for kappa in ("one", "exp"):
+            d = build_1d(p, n - p + 2, kappa)
+            for name in ("M", "K", "Mt", "Kt"):
+                B = getattr(d, name)
+                for scale in %r:
+                    x = np.random.default_rng(n).standard_normal(n) * scale
+                    out[f"{p}-{n}-{kappa}-{name}-{scale}"] = B.to_dense() @ x
+np.savez(sys.argv[1], **out)
+""" % (APPLY_SIZES, APPLY_SCALES)
+
+
+@pytest.fixture(scope="module")
+def one_thread_dense_products(tmp_path_factory):
+    path = tmp_path_factory.mktemp("apply") / "dense.npz"
+    env = dict(os.environ, PYTHONPATH=str(Path(igawave.assembly_1d.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", ONE_THREAD_DENSE, str(path)], env=env, check=True)
+    with np.load(path) as data:
+        return dict(data)
+
+
+@pytest.mark.parametrize("p", range(1, 11))
+def test_apply_equals_the_dense_product_bit_for_bit(p, one_thread_dense_products):
+    for n in APPLY_SIZES:
+        for kappa in ("one", "exp"):
+            d = build_1d(p, n - p + 2, kappa)
+            for name in ("M", "K", "Mt", "Kt"):
+                B = getattr(d, name)
+                assert B.n == n
+                for scale in APPLY_SCALES:
+                    x = np.random.default_rng(n).standard_normal(n) * scale
+                    want = one_thread_dense_products[f"{p}-{n}-{kappa}-{name}-{scale}"]
+                    assert np.array_equal(B.matvec(x), want), (n, kappa, name, scale)
+
+
+def test_apply_builds_no_dense_view():
+    B = build_1d(6, 1000).Kt  # n = 1004
+    x = np.random.default_rng(0).standard_normal(B.n)
+    tracemalloc.start()
+    try:
+        B.matvec(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert B._dense is None
+    # the row blocks: 8 windows of 128 by 144 entries, about 1.2 MB
+    assert peak <= 0.2 * B.n**2 * 8
+
+
+def test_apply_rejects_a_vector_of_the_wrong_length():
+    for N in (40, 1000):  # one block, and eight
+        B = build_1d(5, N).Kt
+        for size in (B.n - 1, B.n + 1):
+            with pytest.raises(ValueError):
+                B.matvec(np.ones(size))
+
+
+@pytest.mark.parametrize("n", [2052, 2100, 2300])
+def test_apply_above_2048_stays_within_rounding_of_the_dense_product(n):
+    """Above 2048 columns OpenBLAS sums each row of the dense product in
+    column chunks, so the windowed apply can round differently there.  The
+    difference is pinned against (|K| |x|), the scale of a row's products."""
+    for p in (3, 6, 10):
+        for kappa in ("one", "exp"):
+            d = build_1d(p, n - p + 2, kappa)
+            for B in (d.M, d.Kt):
+                x = np.random.default_rng(n).standard_normal(n)
+                scale = BandedSymMatrix(np.abs(B.ab)).matvec(np.abs(x))
+                dense = B.to_dense() @ x
+                assert np.all(np.abs(B.matvec(x) - dense) <= 4e-16 * scale)
+                B._dense = None  # about 40 MB each

@@ -413,3 +413,21 @@ def test_top_eigenvalue_that_does_not_settle_raises(monkeypatch):
     monkeypatch.setattr(eigen, "SWEEPS", 1)  # one value, nothing to compare it with
     with pytest.raises(NumericalFailure, match="did not settle"):
         top_eigenvalue(K, M)
+
+
+# c_p = lambda_max h^2 of the standard pair, to six digits (ROADMAP item 8).
+C_P = {2: 10.0, 3: 14.5560, 5: 39.2962, 8: 118.436, 10: 205.717, 15: 572.754}
+
+
+@pytest.mark.parametrize("p", range(2, 16))
+def test_standard_top_eigenvalue_times_h_squared_does_not_depend_on_N(p):
+    """The standard pair's top eigenvalue is c_p / h^2 with c_p free of the
+    mesh: its spread over N = 80, 320, 1280 stays under 1e-6 relative up to
+    p = 15 (measured 8.9e-14 at p = 2 and 4.4e-7 at p = 15)."""
+    c = []
+    for N in (80, 320, 1280):
+        M, K = system(p, N)
+        c.append(top_eigenvalue(K, M) / N**2)
+    assert (max(c) - min(c)) / min(c) <= 1e-6
+    if p in C_P:
+        assert c[0] == pytest.approx(C_P[p], rel=5e-6)
