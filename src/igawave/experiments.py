@@ -93,25 +93,16 @@ def _pool_map(fn, items, workers):
     return [fn(it) for it in items]
 
 
-def _read_exact(fd, n):
-    """n bytes from fd, or fewer if the writer closed its end first."""
-    buf = b""
-    while len(buf) < n:
-        chunk = os.read(fd, n - len(buf))
-        if not chunk:
-            break
-        buf += chunk
-    return buf
-
-
 def _worker(fn, items, task_fd, result_fd, inherited):
     """A forked child's loop: read an item index, write its outcome, until EOF.
 
     inherited are the parent's ends of the other children's pipes, closed
-    first so that each child holds only its own.  An outcome is an 8-byte
-    length and the pickle of (ok, value), value being fn's row or the
-    exception that stopped it; an outcome that cannot be pickled ends the
-    child with status 1.  The child never returns: it leaves
+    first so that each child holds only its own.  The parent writes each
+    4-byte index in one write, which a pipe keeps whole (under PIPE_BUF).
+    An outcome is the pickle of (ok, value), value being fn's row or the
+    exception that stopped it; a pickle marks its own end.  It is pickled
+    before a byte is written, so one that cannot be pickled ends the child
+    with status 1 and no partial frame.  The child never returns: it leaves
     through os._exit, so none of the parent's clean-up runs twice and
     the stdout buffer it inherited is never written a second time.
     """
@@ -119,16 +110,15 @@ def _worker(fn, items, task_fd, result_fd, inherited):
     try:
         for fd in inherited:
             os.close(fd)
-        while len(index_bytes := _read_exact(task_fd, 4)) == 4:
+        results = open(result_fd, "wb")
+        while len(index_bytes := os.read(task_fd, 4)) == 4:
             i = int.from_bytes(index_bytes, "little")
             try:
                 outcome = (True, fn(items[i]))
             except BaseException as exc:  # raised in the parent, as the serial map would
                 outcome = (False, exc)
-            body = pickle.dumps(outcome)
-            msg = len(body).to_bytes(8, "little") + body
-            while msg:
-                msg = msg[os.write(result_fd, msg):]
+            results.write(pickle.dumps(outcome))
+            results.flush()
         code = 0
     finally:
         os._exit(code)
@@ -163,7 +153,7 @@ def _process_map(fn, items, workers):
     todo = list(range(len(items)))  # popped from the end: the largest cell first
     rows = [None] * len(items)
     failures = {}
-    children = {}  # result fd -> [pid or None once reaped, task fd, index running or None]
+    children = {}  # result file -> [pid or None once reaped, task fd, index running or None]
 
     def dispatch(child):
         child[2] = todo.pop() if todo else None
@@ -176,29 +166,32 @@ def _process_map(fn, items, workers):
             result_r, result_w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                inherited = [task_w, result_r, *children, *(c[1] for c in children.values())]
+                inherited = [task_w, result_r, *(f.fileno() for f in children),
+                             *(c[1] for c in children.values())]
                 _worker(fn, items, task_r, result_w, inherited)
             os.close(task_r)
             os.close(result_w)
-            children[result_r] = [pid, task_w, None]
+            children[open(result_r, "rb")] = [pid, task_w, None]
+        # A buffered reader is safe under select: a child gets its next index
+        # only after its outcome has been read, so at most one outcome per
+        # child is in flight, and none sits unread in a buffer that select
+        # has not signalled.
         with selectors.DefaultSelector() as sel:
-            for fd, child in children.items():
-                sel.register(fd, selectors.EVENT_READ)
+            for results, child in children.items():
+                sel.register(results, selectors.EVENT_READ)
                 dispatch(child)
             while any(c[2] is not None for c in children.values()):
                 for key, _ in sel.select():
-                    child = children[key.fd]
-                    head = _read_exact(key.fd, 8)
-                    size = int.from_bytes(head, "little")
-                    body = _read_exact(key.fd, size) if len(head) == 8 else b""
-                    if len(head) < 8 or len(body) < size:
+                    child = children[key.fileobj]
+                    try:
+                        ok, value = pickle.load(key.fileobj)
+                    except (EOFError, pickle.UnpicklingError):
                         pid, child[0] = child[0], None
                         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                         how = f"signal {signal.Signals(-code).name}" if code < 0 else f"status {code}"
                         raise RuntimeError(
                             f"worker process {pid} died with {how} while running cell {child[2]}"
-                        )
-                    ok, value = pickle.loads(body)
+                        ) from None
                     if ok:
                         rows[child[2]] = value
                     else:
@@ -210,9 +203,9 @@ def _process_map(fn, items, workers):
                 os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for fd, (pid, task_w, _) in children.items():
+        for results, (pid, task_w, _) in children.items():
             os.close(task_w)  # an idle child reads EOF and leaves
-            os.close(fd)
+            results.close()
             if pid is not None:
                 os.waitpid(pid, 0)
     if failures:

@@ -109,6 +109,29 @@ def test_no_worker_is_left_after_success_or_failure():
 
 
 @needs_fork
+def test_a_row_larger_than_a_pipe_buffer_comes_back_whole_and_in_order():
+    size = 256 * 1024  # a Linux pipe holds 64 KiB
+
+    def cell(item):
+        return bytes([item]) * size
+
+    with deadline(20):
+        rows = ex._process_map(cell, list(range(5)), 2)
+    assert rows == [bytes([i]) * size for i in range(5)]
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_row_that_cannot_be_pickled_ends_its_worker_with_status_1():
+    def cell(item):
+        return (lambda: item) if item == 1 else item
+
+    with deadline(20), pytest.raises(RuntimeError, match="died with status 1 while running cell 1"):
+        ex._process_map(cell, [0, 1, 2], 2)
+    assert_no_child_left()
+
+
+@needs_fork
 def test_an_interrupt_kills_and_reaps_the_workers():
     parent = os.getpid()
 
