@@ -21,7 +21,7 @@ import igawave
 from igawave.assembly_1d import assemble_load, element_tables
 from igawave.cli import main
 from igawave.eigen import max_eigenvalue, top_eigenvalue
-from igawave.experiments import _process_map, build_1d, spectrum_table
+from igawave.experiments import _process_map, build_1d, free_run, spectrum_table
 from igawave.integrator import critical_omega, initial_state, integrate, params_from_rho
 from igawave.mms_errors import l2_error, l2_error_2d, manufactured_case
 from igawave.quadrature import gauss_legendre, map_to_element
@@ -139,7 +139,7 @@ def test_integrate_1000_steps_p5_n40(benchmark):
 def test_to_dense_n1004(benchmark):
     """The dense view of the penalized stiffness at p=6, N=1000, built afresh
     each round: the size full_spectrum and the Kronecker operators pay for
-    (the 1D apply and free_run use the row blocks instead)."""
+    (the 1D apply and free_run use the stacked windows instead)."""
     K = build_1d(6, 1000).Kt
 
     def clear():
@@ -149,13 +149,23 @@ def test_to_dense_n1004(benchmark):
     assert dense.shape == (1004, 1004)
 
 
-def test_row_blocks_n1004(benchmark):
-    """The row-block windows of free_run's penalized stiffness, which its
-    first apply builds; _row_blocks does not cache, so each round builds
-    them afresh."""
+def test_apply_windows_n1004(benchmark):
+    """The stacked windows of free_run's penalized stiffness, which its
+    first apply builds; _stack does not cache, so each round builds them
+    afresh."""
     K = build_1d(6, 1000).Kt
-    blocks = benchmark.pedantic(K._row_blocks, rounds=50, iterations=1)
-    assert len(blocks) == 8 and K._dense is None
+    cols, stack, c0, trail = benchmark.pedantic(K._stack, rounds=50, iterations=1)
+    assert stack.shape == (62, 16, 32) and cols.shape == (62, 32, 1)
+    assert (c0, trail.shape) == (984, (12, 20)) and K._dense is None
+
+
+def test_free_run_timestep_1d(benchmark):
+    """The stepping workload's timestep-1d request in this process: 4000
+    steps at p=6, N=1000, each one stiffness apply and one mass solve, next
+    to test_stiffness_apply_n1003 and test_mass_solve_n1003."""
+    res, _ = benchmark.pedantic(free_run, args=(6, 1000, 1.0, 0.9, 4000), kwargs={"seed": 1},
+                                rounds=7, iterations=1, warmup_rounds=1)
+    assert not res.blew_up and res.steps_completed == 4000
 
 
 def kron_2d(p, N):

@@ -38,11 +38,15 @@ __all__ = [
     "penalized_forms",
 ]
 
-# Rows per block of the stiffness apply: at n=1004, 256 rows measured twice
-# as slow and 64 rows no faster.
-ROW_BLOCK = 128
+# Rows per window of the stiffness apply: at n=1004 and 2004 on one thread,
+# 8 rows measured 1.1 to 1.3 times as slow, and 20 to 32 rows no faster
+# than the run-to-run spread.
+ROW_BLOCK = 16
+# Up to this order the apply is one product with the whole matrix: 1.1 us
+# at n=43, against 3.2 us on stacked windows.
+WHOLE_MAX = 128
 # OpenBLAS's dgemv kernel sums four rows and four column lanes at a time;
-# block and window edges on multiples of it keep the dense product's order.
+# window edges on multiples of it keep the dense product's order.
 BLAS_GROUP = 4
 
 @dataclass(frozen=True)
@@ -90,77 +94,90 @@ class BandedSymMatrix:
         self.bandwidth = self.ab.shape[0] - 1
         self.n = self.ab.shape[1]
         self._dense = None
-        self._blocks = None
-
-    def _window(self, i0, i1, c0, c1):
-        # Rows i0:i1 and columns c0:c1 of the full matrix, as a new array with
-        # zeros off the band; a stored -0.0 reads +0.0, on both sides.
-        u, w = self.bandwidth, c1 - c0
-        a = np.zeros((i1 - i0, w))
-        flat = a.reshape(-1)  # a view; entry (i, j) sits at (i - i0) * w + j - c0
-        for d in range(u + 1):  # entries (i, i + d) and (i + d, i) are ab[u - d, i + d]
-            lo, hi = max(i0, c0 - d), min(i1, c1 - d)  # rows i of (i, i + d)
-            if lo < hi:
-                start = (lo - i0) * w + lo + d - c0
-                flat[start :: w + 1][: hi - lo] = self.ab[u - d, lo + d : hi + d] + 0.0
-            lo, hi = max(i0, c0 + d), min(i1, c1 + d)  # rows i of (i, i - d)
-            if lo < hi:
-                start = (lo - i0) * w + lo - d - c0
-                flat[start :: w + 1][: hi - lo] = self.ab[u - d, lo:hi] + 0.0
-        return a
+        self._windows = None
 
     def to_dense(self):
         """The n-by-n matrix, built once and read-only."""
         if self._dense is None:
-            a = self._window(0, self.n, 0, self.n)
+            u, n = self.bandwidth, self.n
+            a = np.zeros((n, n))
+            flat = a.reshape(-1)  # a view; entry (i, j) sits at i * n + j
+            for d in range(min(u, n - 1) + 1):  # (i, i + d) and (i + d, i) are ab[u - d, i + d]
+                v = self.ab[u - d, d:] + 0.0  # a stored -0.0 reads +0.0, on both sides
+                flat[d :: n + 1][: n - d] = v
+                flat[d * n :: n + 1][: n - d] = v
             a.setflags(write=False)
             self._dense = a
         return self._dense
 
-    def _row_blocks(self):
-        # (rows, columns, block) windows: ROW_BLOCK rows from a multiple of
-        # BLAS_GROUP, a trailing block of fewer than BLAS_GROUP rows joining
-        # the one before.  A window's columns start at a multiple of
-        # BLAS_GROUP and end at one, or at n where the band reaches the last
-        # n % BLAS_GROUP columns; the last window is open-ended, so a vector
-        # of the wrong length fails in its product.
-        u, n = self.bandwidth, self.n
-        starts = list(range(0, n, ROW_BLOCK))
-        if n - starts[-1] < BLAS_GROUP and len(starts) > 1:
-            starts.pop()
-        tail = n - n % BLAS_GROUP
-        blocks = []
-        for i0, i1 in zip(starts, starts[1:] + [n]):
-            c0 = max(i0 - u, 0) // BLAS_GROUP * BLAS_GROUP
-            c1 = -(-(i1 + u) // BLAS_GROUP) * BLAS_GROUP
-            c1 = n if c1 > tail else c1
-            cols = slice(c0, None if c1 == n else c1)
-            blocks.append((slice(i0, i1), cols, self._window(i0, i1, c0, c1)))
-        return blocks
+    def _stack(self):
+        # (columns, windows, c0, trailing window).  Window b holds rows
+        # b R .. (b + 1) R with R = ROW_BLOCK, a multiple of BLAS_GROUP, and
+        # one shared width of columns from a multiple of BLAS_GROUP, wide
+        # enough for the band of its rows; windows that would pass
+        # tail = n - n % BLAS_GROUP shift left, over columns that hold
+        # zeros.  The rows left over, whose band reaches past tail, form the
+        # trailing window on columns c0 .. n, c0 a multiple of BLAS_GROUP;
+        # at n <= WHOLE_MAX it is the whole matrix.
+        u, n, r, g = self.bandwidth, self.n, ROW_BLOCK, BLAS_GROUP
+        tail = n - n % g
+        reach = -(-u // g) * g
+        width = r + 2 * reach
+        count = (tail - u) // r if n > WHOLE_MAX and width <= tail else 0
+        i0 = np.arange(count) * r
+        cols = np.clip(i0 - reach, 0, tail - width)[:, None] + np.arange(width)
+        t0 = count * r
+        c0 = max(t0 - u, 0) // g * g
+        # band[u + 1 + d, i] is entry (i, i + d) for |d| <= u, and rows 0 and
+        # 2u + 2 hold the zeros off the band; a stored -0.0 reads +0.0.
+        band = np.zeros((2 * u + 3, n))
+        np.add(self.ab, 0.0, out=band[1 : u + 2])
+        for d in range(1, min(u, n - 1) + 1):
+            np.add(self.ab[u - d, d:], 0.0, out=band[u + 1 + d, : n - d])
+        band = band.reshape(-1)
+
+        def entries(i, j):  # entries (i, j) of the matrix, broadcast, in one read
+            at = j - i
+            np.clip(at, -u - 1, u + 1, out=at)
+            at += u + 1
+            at *= n
+            at += i
+            return band[at]
+
+        stack = entries(i0[:, None, None] + np.arange(r)[:, None], cols[:, None, :])
+        trail = entries(np.arange(t0, n)[:, None], np.arange(c0, n))
+        return cols[:, :, None], stack, c0, trail
 
     def matvec(self, x):
-        """K x for a vector x, as one BLAS product per row block of the band.
+        """K x for a vector x: one BLAS product per stacked window of the band.
 
-        Each block is a window of the matrix, zero-padded so that every
-        output gets the same nonzero products, in the same accumulator lanes
-        and order, as in ``to_dense() @ x``; the zeros skipped add exactly 0.
-        With OpenBLAS the result is bit-identical to the dense product on
-        one thread for n <= 2048 (tested), and it does not depend on the
-        thread count.  Above 2048 the dense product sums each row in column
-        chunks, and the two differ by rounding only (at most 4e-16 of
-        (|K| |x|) in the tests).  No n-by-n array is built: the blocks take
-        O(n (ROW_BLOCK + 2u)) memory, made on the first call.  At n <= 128
-        the one block is the whole matrix.  A non-finite entry of x reaches
-        only the rows coupled to it.
+        The windows are zero-padded so that every output gets the same
+        nonzero products, in the same accumulator lanes and order, as in
+        ``to_dense() @ x``; the zeros multiplied add exactly 0.  One gather
+        takes x into every window's columns, one ``np.matmul`` runs the
+        stack through the kernel that ``np.dot`` uses, and one ``np.dot``
+        applies the trailing window, which ends at n.  With OpenBLAS the
+        result is bit-identical to the dense product on one thread for
+        n <= 2048 (tested), and it does not depend on the thread count.
+        Above 2048 the dense product sums each row in column chunks, and
+        the two differ by rounding only (at most 4e-16 of (|K| |x|) in the
+        tests).  No n-by-n array is built: the windows take about
+        n (ROW_BLOCK + 2u) entries and their padding, 0.26 MB at n=1004
+        and p=6, made on the first call.  At n <= WHOLE_MAX the one window
+        is the whole matrix.  A non-finite entry of x makes non-finite
+        every row of each window whose columns hold it, as 0 * NaN is NaN:
+        at n=1004 and p=6 about 32 rows around it rather than the 13
+        coupled to it, and all n rows at n <= WHOLE_MAX.
         """
-        if self._blocks is None:
-            self._blocks = self._row_blocks()
-        blocks = self._blocks
-        if len(blocks) == 1:  # the whole matrix: the dense product itself
-            return blocks[0][2] @ x
+        if self._windows is None:
+            self._windows = self._stack()
+        cols, stack, c0, trail = self._windows
+        if not len(stack):  # the whole matrix: the dense product itself
+            return trail @ x
+        k = stack.shape[0] * ROW_BLOCK
         y = np.empty(self.n)
-        for rows, cols, block in blocks:
-            np.dot(block, x[cols], out=y[rows])
+        np.dot(trail, x[c0:], out=y[k:])  # first, so a vector of the wrong length fails here
+        np.matmul(stack, x[cols], out=y[:k].reshape(-1, ROW_BLOCK, 1))
         return y
 
     def add_scaled(self, other, coeff):

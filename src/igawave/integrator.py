@@ -6,8 +6,9 @@ step of `integrate` is one load evaluation, one stiffness apply, one banded
 buffers allocated once per run, plus a max-abs scan for blow-up; nothing
 else grows with the number of steps.  On small meshes the fixed cost of a
 dozen numpy calls outweighs the solve and the apply; at n = 1003 the
-stiffness apply, one BLAS product per row block of the band, costs about
-1.2 banded solves (28 against 24 us), where a dense apply cost 14.
+stiffness apply, one stacked BLAS product over 16-row windows of the band,
+costs about 0.7 banded solves (15 against 22 us, minima), where a dense
+apply cost 14.
 `benchmarks/test_layers.py` times both sizes.  `step` is the allocating
 single-step reference that `integrate` reproduces bit for bit.
 

@@ -462,12 +462,16 @@ def test_load_equals_the_element_loop_bit_for_bit(p):
                 assert assemble_load(kv, tables, f).tobytes() == want
 
 
-# The stiffness apply runs on row-block windows of the band.  Its reference
+# The stiffness apply runs on stacked windows of the band.  Its reference
 # is the dense product on one BLAS thread, computed in a child process: on
 # two or more threads OpenBLAS splits a large dense product across threads
 # and can round it differently, while the windowed apply does not depend on
-# the thread count.  Sizes straddle the row-block edges at 128 and 256.
-APPLY_SIZES = (127, 128, 129, 130, 131, 132, 133, 255, 256, 257, 258, 259, 1004)
+# the thread count.  Sizes: the whole-matrix product up to 128; every
+# n % 4 where the stacked windows begin (129..135); both sides of the
+# 16-row window edges at 144 and 256; and 2048, the top of the range where
+# the dense product sums each row in one pass.
+APPLY_SIZES = (127, 128, 129, 130, 131, 132, 133, 134, 135, 143, 144, 145, 255, 256, 257, 258,
+               259, 1004, 2048)
 APPLY_SCALES = (1.0, 1e3)
 
 ONE_THREAD_DENSE = """
@@ -522,12 +526,43 @@ def test_apply_builds_no_dense_view():
     finally:
         tracemalloc.stop()
     assert B._dense is None
-    # the row blocks: 8 windows of 128 by 144 entries, about 1.2 MB
-    assert peak <= 0.2 * B.n**2 * 8
+    # the windows, 62 of 16 by 32 entries and a trailing 12 by 20, take
+    # 0.26 MB; the index of their one read adds as much again, and the
+    # zero-padded band they are read from 0.12 MB
+    assert peak <= 0.7e6
+
+
+def window_rows_holding(B, c):
+    """The rows of every apply window whose columns hold column c."""
+    cols, stack, c0, _ = B._windows
+    r = stack.shape[1]
+    rows = [np.arange(b * r, b * r + r) for b in np.flatnonzero((cols == c).any(axis=1))]
+    if c >= c0:
+        rows.append(np.arange(len(stack) * r, B.n))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("N", [40, 1000])
+def test_a_nan_in_x_reaches_its_coupled_rows_and_stays_in_its_windows(N):
+    """0 * NaN is NaN, so a NaN entry of x spreads over the rows of each
+    window that holds it: at n=1004 to 32 rows, not only the 13 coupled to
+    it, and at n=44, one window, to every row."""
+    B = build_1d(6, N).Kt
+    u, n = B.bandwidth, B.n
+    for c in (0, 1, n // 5, n // 2, n - 13, n - 2, n - 1):
+        x = np.ones(n)
+        x[c] = np.nan
+        y = B.matvec(x)
+        nan_rows = np.flatnonzero(np.isnan(y))
+        assert np.isin(np.arange(max(c - u, 0), min(c + u + 1, n)), nan_rows).all()
+        assert np.isin(nan_rows, window_rows_holding(B, c)).all()
+        assert np.isfinite(y).any() == (n > 128)
+        if (n, c) == (1004, 200):
+            assert nan_rows.tolist() == list(range(192, 224))
 
 
 def test_apply_rejects_a_vector_of_the_wrong_length():
-    for N in (40, 1000):  # one block, and eight
+    for N in (40, 1000):  # the whole matrix, and stacked windows
         B = build_1d(5, N).Kt
         for size in (B.n - 1, B.n + 1):
             with pytest.raises(ValueError):

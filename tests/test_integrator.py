@@ -301,6 +301,28 @@ def test_nan_load_ends_run_as_blow_up(dim):
     assert np.isnan(res.max_abs_u)
 
 
+def test_a_nan_that_reaches_part_of_the_stiffness_apply_ends_run_as_blow_up():
+    """At n=1004 a NaN entry of u reaches only a few rows of K u (see
+    BandedSymMatrix.matvec); the mass solve spreads it and the run stops."""
+    solve_M, apply_K, load, (u0, v0), tau = banded_problem(6, 1, True, N=1000)
+    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+    calls = []
+
+    def poisoned(u):
+        calls.append(None)
+        if len(calls) == 3:
+            u = u.copy()
+            u[200] = np.nan
+        y = apply_K(u)
+        assert np.isnan(y).any() == (len(calls) == 3) and not np.isnan(y).all()
+        return y
+
+    res = integrate(s0, solve_M, poisoned, load, tau, 10, params_from_rho(1.0))
+    assert res.blew_up
+    assert res.steps_completed == 3
+    assert np.isnan(res.max_abs_u)
+
+
 def test_non_finite_initial_state_rejected():
     solve_M, apply_K = scalar_ops(1.0)
     for bad in ("u", "v", "a"):
