@@ -1,7 +1,7 @@
 """Galerkin assembly of 1D mass, stiffness, load and penalty objects.
 
-All matrices live on the interior degrees of freedom by default: the two
-basis functions supported on the boundary are removed, which is exactly the
+All matrices live on the interior degrees of freedom: the two basis
+functions supported on the boundary are removed, which is exactly the
 homogeneous Dirichlet condition for open knot vectors.  Storage is banded
 symmetric (upper form, bandwidth p).  The apply runs one BLAS product per
 row block on cached windows of the band, with the dense product's bits
@@ -17,6 +17,7 @@ mass and pi^2 h^(4l-1) in the stiffness.  It pins the spurious top
 eigenvalues to the interior symbol maximum, about pi^2/h^2, uniformly in N.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,7 +239,7 @@ def element_tables(kv, rule, max_deriv):
     return x, w, firsts[:: rule.npoints], vals.reshape(x.shape + vals.shape[1:])
 
 
-def _assemble_product(kv, rule, deriv, coeff=None, interior=True):
+def _assemble_product(kv, rule, deriv, coeff=None):
     # Generic  integral of c(x) B_k^(d) B_l^(d)  over all elements, written
     # straight into upper banded storage.
     p = kv.p
@@ -251,23 +252,22 @@ def _assemble_product(kv, rule, deriv, coeff=None, interior=True):
     for b in range(p, -1, -1):
         for a in range(b + 1):
             ab[p + a - b, firsts + b] += local[:, a, b]
-    if interior:
-        ab = ab[:, 1:-1].copy()
-        ab[p - 1 - np.arange(p), np.arange(p)] = 0.0  # the dropped first row
+    ab = ab[:, 1:-1].copy()
+    ab[p - 1 - np.arange(p), np.arange(p)] = 0.0  # the dropped first row
     return BandedSymMatrix(ab)
 
 
-def assemble_mass(kv, rule, interior=True):
+def assemble_mass(kv, rule):
     """Mass matrix, entries ∫ B_k B_l, SPD."""
-    return _assemble_product(kv, rule, 0, None, interior)
+    return _assemble_product(kv, rule, 0)
 
 
-def assemble_stiffness(kv, rule, coeff, interior=True):
+def assemble_stiffness(kv, rule, coeff):
     """Stiffness matrix, entries ∫ κ B_k' B_l', SPD on interior DOFs."""
-    return _assemble_product(kv, rule, 1, coeff, interior)
+    return _assemble_product(kv, rule, 1, coeff)
 
 
-def assemble_load(kv, rule, f, interior=True):
+def assemble_load(kv, rule, f):
     """Load vector F_k = ∫ f(x) B_k(x) dx for a callable f that acts elementwise."""
     p = kv.p
     xs, ws, firsts, vals = rule if isinstance(rule, tuple) else element_tables(kv, rule, 0)
@@ -276,22 +276,19 @@ def assemble_load(kv, rule, f, interior=True):
     full = np.zeros(kv.dim)
     for a in range(p, -1, -1):  # a downwards adds each entry's elements in order
         full[firsts + a] += local[:, a]
-    return full[1:-1] if interior else full
+    return full[1:-1]
 
 
-def assemble_penalty(kv, ell, *, interior=True):
+def assemble_penalty(kv, ell):
     """Penalty matrix for level ell (derivative order 2*ell).
 
     d0 d0^T + d1 d1^T with d0, d1 the 2l-th basis derivative values at the
     two boundary points; bandwidth stays p because the two outer products
-    touch disjoint corner blocks.  interior is keyword-only: a positional
-    third argument is rejected rather than read as a flag.
+    touch disjoint corner blocks.
     """
     if not 1 <= ell <= alpha_of(kv.p):
         raise ValueError(f"penalty level {ell} outside 1..{alpha_of(kv.p)}")
-    d0, d1 = boundary_derivative_vectors(kv, 2 * ell)
-    if interior:
-        d0, d1 = d0[1:-1], d1[1:-1]
+    d0, d1 = (d[1:-1] for d in boundary_derivative_vectors(kv, 2 * ell))
     # Band entry ab[p + i - j, j] = d0[i] d0[j] + d1[i] d1[j], zero above row 0.
     j = np.arange(d0.size)
     i = j - kv.p + np.arange(kv.p + 1)[:, None]
@@ -299,34 +296,25 @@ def assemble_penalty(kv, ell, *, interior=True):
     return BandedSymMatrix(np.where(i >= 0, d0[ic] * d0[j] + d1[ic] * d1[j], 0.0))
 
 
-def _eta_tuple(name, eta, nlevels):
-    scalar = np.isscalar(eta)
-    eta = (float(eta),) if scalar else tuple(float(v) for v in eta)
-    if not all(np.isfinite(v) and v >= 0 for v in eta):
-        raise ValueError(f"penalty weight {name} must be finite and non-negative, got {eta}")
-    if scalar:
-        return eta * nlevels
-    if len(eta) != nlevels:
-        raise ValueError(f"expected {nlevels} penalty weights, got {len(eta)}")
-    return eta
+def _weight(name, eta):
+    if not (isinstance(eta, numbers.Real) and np.isfinite(eta) and eta >= 0):
+        raise ValueError(f"penalty weight {name} must be finite and non-negative, got {eta!r}")
+    return float(eta)
 
 
 def penalized_forms(M, K, kv, eta_a=1.0, eta_b=1.0):
     """Mass/stiffness pair with the outlier penalties of every level folded in.
 
-    Level ell adds eta_b[ell] * h^(4l+1) * P_ell to M and
-    eta_a[ell] * pi^2 h^(4l-1) * P_ell to K, with P_ell from
-    assemble_penalty and h = 1/N.  A scalar weight applies to every level.
-    With no penalty levels (p <= 2) the input pair is returned unchanged;
-    the weights are checked either way.
+    Level ell adds eta_b * h^(4l+1) * P_ell to M and
+    eta_a * pi^2 h^(4l-1) * P_ell to K, with P_ell from assemble_penalty
+    and h = 1/N.  With no penalty levels (p <= 2) the input pair is
+    returned unchanged; the weights are checked either way.
     """
-    nlevels = alpha_of(kv.p)
-    eta_a = _eta_tuple("eta_a", eta_a, nlevels)
-    eta_b = _eta_tuple("eta_b", eta_b, nlevels)
+    eta_a, eta_b = _weight("eta_a", eta_a), _weight("eta_b", eta_b)
     h = kv.h
     Mt, Kt = M, K
-    for ell, ea, eb in zip(range(1, nlevels + 1), eta_a, eta_b):
+    for ell in range(1, alpha_of(kv.p) + 1):
         P = assemble_penalty(kv, ell)
-        Mt = Mt.add_scaled(P, eb * h ** (4 * ell + 1))
-        Kt = Kt.add_scaled(P, ea * (np.pi**2 * h ** (4 * ell - 1)))
+        Mt = Mt.add_scaled(P, eta_b * h ** (4 * ell + 1))
+        Kt = Kt.add_scaled(P, eta_a * (np.pi**2 * h ** (4 * ell - 1)))
     return Mt, Kt

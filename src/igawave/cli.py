@@ -64,11 +64,11 @@ def _positive_float(text):
 # is a usage error, on the command line and in a config section alike.
 def _add_problem(sub, run):
     sub.add_argument("--kappa", choices=("one", "exp"), default="one")
-    sub.add_argument("--variant", choices=("boundary-point",), default="boundary-point",
-                     help="penalization (the one choice, accepted for compatibility)")
     sub.add_argument("--eta-a", type=float, default=1.0, dest="eta_a")
     sub.add_argument("--eta-b", type=float, default=1.0, dest="eta_b")
-    sub.add_argument("--out", required=True, help="output CSV path")
+    # Not required=True: the first pass of main, which finds --config, would
+    # reject a command line that leaves --out to the config file.
+    sub.add_argument("--out", help="output CSV path (required, as a flag or a config key)")
     sub.add_argument("--gnuplot", default=None, help="also write a gnuplot script here")
     sub.add_argument("--config", default=None, help="INI file with per-subcommand defaults")
     sub.set_defaults(run=run)
@@ -249,6 +249,8 @@ def main(argv=None):
     if args.config is not None:
         _apply_config(parser, subs.choices[args.command], args.command, args.config)
     args = parser.parse_args(argv)
+    if args.out is None:
+        subs.choices[args.command].error("the following arguments are required: --out")
     try:
         return args.run(parser, args)
     except ex.BlowupDetected as err:

@@ -116,22 +116,33 @@ def test_matrices_symmetric_positive_definite():
             np.linalg.cholesky(a)  # raises if not SPD
 
 
+# The interior basis sums to 1 - B_0 - B_last (partition of unity), and the
+# end functions are (1 - x/h)^p and its mirror, with disjoint supports for
+# N >= 2: their integral is h/(p+1), that of their square h/(2p+1), and
+# that of x times both together h/(p+1).
+PARTITION_CELLS = [(1, 2), (3, 6), (4, 9), (6, 10)]
+
+
 def test_total_mass_is_one():
-    # Sum over all entries of the full mass matrix is the integral of
-    # (sum of basis)^2 = 1.
-    kv = open_uniform_knots(4, 9)
-    M = assemble_mass(kv, gauss_legendre(5), interior=False).to_dense()
-    assert M.sum() == pytest.approx(1.0, rel=1e-13)
+    # The sum of all entries of the interior mass matrix is the integral of
+    # (1 - B_0 - B_last)^2.
+    for p, N in PARTITION_CELLS:
+        kv = open_uniform_knots(p, N)
+        M = assemble_mass(kv, gauss_legendre(p + 1)).to_dense()
+        h = kv.h
+        assert M.sum() == pytest.approx(1 - 4 * h / (p + 1) + 2 * h / (2 * p + 1), rel=1e-13)
 
 
 def test_load_vector_totals():
-    kv = open_uniform_knots(3, 6)
-    rule = gauss_legendre(6)
-    F = assemble_load(kv, rule, lambda x: np.ones_like(x), interior=False)
-    assert F.sum() == pytest.approx(1.0, rel=1e-13)
-    F = assemble_load(kv, rule, lambda x: x, interior=False)
-    assert F.sum() == pytest.approx(0.5, rel=1e-13)
-    assert assemble_load(kv, rule, lambda x: x).shape == (kv.interior_dim,)
+    for p, N in PARTITION_CELLS:
+        kv = open_uniform_knots(p, N)
+        rule = gauss_legendre(p + 1)
+        h = kv.h
+        F = assemble_load(kv, rule, lambda x: np.ones_like(x))
+        assert F.shape == (kv.interior_dim,)
+        assert F.sum() == pytest.approx(1 - 2 * h / (p + 1), rel=1e-13)
+        F = assemble_load(kv, rule, lambda x: x)
+        assert F.sum() == pytest.approx(0.5 - h / (p + 1), rel=1e-13)
 
 
 def test_banded_storage_round_trip():
@@ -188,7 +199,7 @@ def test_penalty_needs_valid_level():
     with pytest.raises(ValueError):
         assemble_penalty(kv, 0)
     with pytest.raises(TypeError):
-        assemble_penalty(kv, 1, "integral")  # interior is keyword-only
+        assemble_penalty(kv, 1, "integral")  # a level and nothing else
 
 
 def test_no_penalties_below_cubic():
@@ -238,15 +249,15 @@ def test_per_level_weights():
     rule = gauss_legendre(6)
     M = assemble_mass(kv, rule)
     K = assemble_stiffness(kv, rule, ONE)
-    Mt, Kt = penalized_forms(M, K, kv, eta_a=(1.0, 2.0), eta_b=(0.5, 0.0))
-    # level ell carries eta_a[ell] in K and eta_b[ell] in M
+    Mt, Kt = penalized_forms(M, K, kv, eta_a=2.0, eta_b=0.5)
+    # every level carries eta_a in K and eta_b in M
     P1, P2 = assemble_penalty(kv, 1), assemble_penalty(kv, 2)
     h = kv.h
-    want_m = M.add_scaled(P1, 0.5 * h**5).add_scaled(P2, 0.0 * h**9)
-    want_k = K.add_scaled(P1, 1.0 * (np.pi**2 * h**3)).add_scaled(P2, 2.0 * (np.pi**2 * h**7))
+    want_m = M.add_scaled(P1, 0.5 * h**5).add_scaled(P2, 0.5 * h**9)
+    want_k = K.add_scaled(P1, 2.0 * (np.pi**2 * h**3)).add_scaled(P2, 2.0 * (np.pi**2 * h**7))
     np.testing.assert_array_equal(Mt.ab, want_m.ab)
     np.testing.assert_array_equal(Kt.ab, want_k.ab)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eta_a"):
         penalized_forms(M, K, kv, eta_a=(1.0,))
     for bad in (-1.0, np.nan, np.inf, (1.0, -2.0)):
         with pytest.raises(ValueError, match="eta_b"):
@@ -293,7 +304,7 @@ def test_smallest_eigenvalue_superconverges_to_pi_squared():
         assert abs(rate - 2 * p) < 0.25
 
 
-def dense_reference(kv, rule, deriv, coeff=None, interior=True):
+def dense_reference(kv, rule, deriv, coeff=None):
     """Element-by-element dense assembly, the layout the banded one replaced.
 
     The banded assembly performs the same per-element products and adds them
@@ -309,8 +320,7 @@ def dense_reference(kv, rule, deriv, coeff=None, interior=True):
         first, v = firsts[0], vals[:, deriv, :]
         wq = w if coeff is None else w * coeff(x)
         full[first : first + p + 1, first : first + p + 1] += np.einsum("q,qa,qb->ab", wq, v, v)
-    if interior:
-        full = full[1:-1, 1:-1]
+    full = full[1:-1, 1:-1]
     return np.triu(full) + np.triu(full, 1).T
 
 
@@ -319,23 +329,19 @@ def assert_banded_equals(B, dense):
     np.testing.assert_array_equal(B.ab, banded_from_dense(dense, B.bandwidth).ab)
 
 
-@pytest.mark.parametrize("interior", [True, False])
+@pytest.mark.parametrize("smooth", [True, False])  # kappa one on p+1 points, or exp on p+3
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 6])
-def test_banded_assembly_matches_dense_reference_exactly(p, interior):
+def test_banded_assembly_matches_dense_reference_exactly(p, smooth):
+    coeff = ONE if smooth else EXP
     for N in (2, 3, 7, 40):
         kv = open_uniform_knots(p, N)
-        for coeff in (ONE, EXP):
-            rule = gauss_legendre(p + 1 if coeff.smooth_polynomial else p + 3)
-            assert_banded_equals(assemble_mass(kv, rule, interior),
-                                 dense_reference(kv, rule, 0, None, interior))
-            assert_banded_equals(assemble_stiffness(kv, rule, coeff, interior),
-                                 dense_reference(kv, rule, 1, coeff, interior))
+        rule = gauss_legendre(p + 1 if smooth else p + 3)
+        assert_banded_equals(assemble_mass(kv, rule), dense_reference(kv, rule, 0))
+        assert_banded_equals(assemble_stiffness(kv, rule, coeff),
+                             dense_reference(kv, rule, 1, coeff))
         for ell in range(1, alpha_of(p) + 1):
-            d0, d1 = boundary_derivative_vectors(kv, 2 * ell)
-            if interior:
-                d0, d1 = d0[1:-1], d1[1:-1]
-            assert_banded_equals(assemble_penalty(kv, ell, interior=interior),
-                                 np.outer(d0, d0) + np.outer(d1, d1))
+            d0, d1 = (d[1:-1] for d in boundary_derivative_vectors(kv, 2 * ell))
+            assert_banded_equals(assemble_penalty(kv, ell), np.outer(d0, d0) + np.outer(d1, d1))
 
 
 def loop_product(kv, rule, deriv, coeff=None):

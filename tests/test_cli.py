@@ -3,6 +3,7 @@ and exit codes.  Everything runs in-process through main() except one
 subprocess check of the module entry point.
 """
 
+import argparse
 import csv
 import math
 import subprocess
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from igawave.cli import main
+from igawave.cli import build_parser, main
 
 
 def read_csv(path):
@@ -210,12 +211,26 @@ def test_config_file_defaults_and_override(tmp_path):
     assert [(r["p"], r["N"]) for r in rows] == [("3", "5")]
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[spectrum]\nshade = 7\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
+    for line in ("shade = 7", "variant = boundary-point"):
+        cfg.write_text(f"[spectrum]\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+
+def test_config_out_key_writes_the_csv(tmp_path):
+    from_config, from_flag = tmp_path / "config.csv", tmp_path / "flag.csv"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[spectrum]\ndegrees = 3\nelements = 5\nout = {from_config}\n")
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+    assert from_config.exists()
+    # an explicit --out still wins
+    from_config.unlink()
+    assert main(["spectrum", "--config", str(cfg), "--out", str(from_flag)]) == 0
+    assert from_flag.exists() and not from_config.exists()
 
 
 def test_module_entry_point(tmp_path):
@@ -283,15 +298,32 @@ def test_integral_variant_is_a_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--variant", "integral", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
-    assert "invalid choice: 'integral'" in capsys.readouterr().err
+    assert "unrecognized arguments: --variant integral" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_variant_flag_changes_no_byte(tmp_path):
-    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
-    assert main(["spectrum", "--out", str(plain)]) == 0
-    assert main(["spectrum", "--variant", "boundary-point", "--out", str(flagged)]) == 0
-    assert flagged.read_bytes() == plain.read_bytes()
+# Tiny sizes: every option a subcommand registers must be read by its run
+# function, so that none is accepted only to be ignored.
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--degrees", "3", "--elements", "5", "--workers", "1"],
+    ["convergence", "--degrees", "3", "--elements", "4,8", "--steps", "10", "--workers", "1"],
+    ["stability-region", "--degrees", "3", "--elements", "5"],
+    ["solve", "--degrees", "3", "--elements", "5", "--steps", "10"],
+], ids=lambda argv: argv[0])
+def test_every_registered_option_is_read(tmp_path, argv):
+    parser, subs = build_parser()
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = parser.parse_args(argv + ["--out", str(tmp_path / "x.csv")], namespace=Recording())
+    reads.clear()  # parsing itself reads every attribute
+    assert args.run(parser, args) == 0
+    registered = {action.dest for action in subs.choices[argv[0]]._actions}
+    assert registered - {"help", "config"} - reads == set()  # config is read in main
 
 
 def test_space_mode_needs_two_element_counts(tmp_path, capsys):
@@ -347,6 +379,7 @@ def test_degree_beyond_the_quadrature_table_exits_2(tmp_path, capsys, argv, degr
     ["convergence", "--workers", "-3"],
     ["stability-region", "--workers", "2"],
     ["stability-region", "--dim", "1"],
+    ["spectrum", "--variant", "boundary-point"],
 ])
 def test_option_the_subcommand_does_not_read_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
