@@ -12,6 +12,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,24 @@ def test_build_1d_p5(benchmark, N):
     assert d.Mt.n == N + 3
 
 
+def bench_build_1d_p6(benchmark, N):
+    """Times build_1d(6, N); extra_info["tracemalloc_peak_mb"] is what one
+    build allocates at its peak, result included, outside the timed rounds."""
+    assert benchmark(build_1d, 6, N).Mt.n == N + 4
+    tracemalloc.start()
+    try:
+        build_1d(6, N)
+        benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_build_1d_p6_n1000(benchmark):
-    assert benchmark(build_1d, 6, 1000).Mt.n == 1004
+    bench_build_1d_p6(benchmark, 1000)
+
+
+def test_build_1d_p6_n10000(benchmark):
+    bench_build_1d_p6(benchmark, 10_000)
 
 
 def test_assemble_load_p5_n1000(benchmark):

@@ -7,9 +7,11 @@ symmetric (upper form, bandwidth p).  The apply runs one BLAS product per
 row block on cached windows of the band, with the dense product's bits
 (see BandedSymMatrix.matvec); the small dense eigensolves and the
 Kronecker operators use a cached dense view, written from the band in one
-pass with no second n-by-n temporary.  Each integral is one basis table
-(from a rule, or a shared element_tables result), one batched product and
-one ordered scatter.
+pass with no second n-by-n temporary.  Each integral runs over the
+elements in passes of ELEMENT_CHUNK, in element order; a pass is one basis
+table (from a rule, or a slice of a shared element_tables result), one
+batched product and one ordered scatter, so the memory that assembly uses
+besides its result does not grow with N.
 
 The outlier-removal penalty of level l is the rank-two matrix built from
 the 2l-th basis derivatives at x = 0 and x = 1, scaled by h^(4l+1) in the
@@ -49,6 +51,9 @@ WHOLE_MAX = 128
 # OpenBLAS's dgemv kernel sums four rows and four column lanes at a time;
 # window edges on multiples of it keep the dense product's order.
 BLAS_GROUP = 4
+# Elements per pass of the assembly.  One pass covers N <= 1024: passes of
+# 256 elements cost 8 to 14% in time on grids that need many of them.
+ELEMENT_CHUNK = 1024
 
 @dataclass(frozen=True)
 class Coefficient:
@@ -227,55 +232,81 @@ def alpha_of(p):
     return (p - 1) // 2
 
 
-def element_tables(kv, rule, max_deriv):
+def element_tables(kv, rule, max_deriv, elements=slice(None)):
     """Quadrature points, weights, first active index and basis table per element.
 
-    Returns (x, w, firsts, vals) with shapes (N, q), (N, q), (N,) and
-    (N, q, max_deriv + 1, p + 1), from one basis evaluation over all points.
+    Returns (x, w, firsts, vals) with shapes (E, q), (E, q), (E,) and
+    (E, q, max_deriv + 1, p + 1) for the E elements that the slice
+    `elements` picks (all N by default), from one basis evaluation over
+    their points.
     """
     bp = kv.breakpoints
-    x, w = map_to_element(rule, bp[:-1], bp[1:])
+    x, w = map_to_element(rule, bp[:-1][elements], bp[1:][elements])
     firsts, vals = eval_basis_many(kv, x.ravel(), max_deriv)
     return x, w, firsts[:: rule.npoints], vals.reshape(x.shape + vals.shape[1:])
 
 
-def _assemble_product(kv, rule, deriv, coeff=None):
-    # Generic  integral of c(x) B_k^(d) B_l^(d)  over all elements, written
-    # straight into upper banded storage.
+def _element_passes(kv, rule, max_deriv):
+    # The tables of each run of ELEMENT_CHUNK elements, in element order:
+    # slices of a shared element_tables result, or built per run.
+    for lo in range(0, kv.nelems, ELEMENT_CHUNK):
+        part = slice(lo, lo + ELEMENT_CHUNK)
+        if isinstance(rule, tuple):
+            yield tuple(t[part] for t in rule)
+        else:
+            yield element_tables(kv, rule, max_deriv, part)
+
+
+def _assemble_products(kv, rule, forms):
+    # The integrals of c(x) B_k^(d) B_l^(d) over all elements for each
+    # (d, c) in forms (c None for 1), written straight into upper banded
+    # storage; every form of a pass reads the pass's one basis table.
     p = kv.p
-    xs, ws, firsts, vals = rule if isinstance(rule, tuple) else element_tables(kv, rule, deriv)
-    wq, v = ws if coeff is None else ws * coeff(xs), vals[:, :, deriv, :]
-    local = np.einsum("eq,eqa,eqb->eab", wq, v, v)  # one call, sums over q in order
-    # Entry (first + a, first + b) of an element lands in ab[p + a - b, first + b];
-    # taking b downwards adds each entry's contributions in element order.
-    ab = np.zeros((p + 1, kv.dim))
-    for b in range(p, -1, -1):
-        for a in range(b + 1):
-            ab[p + a - b, firsts + b] += local[:, a, b]
-    ab = ab[:, 1:-1].copy()
-    ab[p - 1 - np.arange(p), np.arange(p)] = 0.0  # the dropped first row
-    return BandedSymMatrix(ab)
+    bands = [np.zeros((p + 1, kv.dim)) for _ in forms]
+    for xs, ws, firsts, vals in _element_passes(kv, rule, max(d for d, _ in forms)):
+        for ab, (deriv, coeff) in zip(bands, forms):
+            wq, v = ws if coeff is None else ws * coeff(xs), vals[:, :, deriv, :]
+            local = np.einsum("eq,eqa,eqb->eab", wq, v, v)  # one call, sums over q in order
+            # Entry (first + a, first + b) of an element lands in ab[p + a - b, first + b];
+            # taking b downwards adds each entry's contributions in element
+            # order, and the passes run in element order.
+            for b in range(p, -1, -1):
+                for a in range(b + 1):
+                    ab[p + a - b, firsts + b] += local[:, a, b]
+    matrices = []
+    for ab in bands:
+        ab = ab[:, 1:-1].copy()
+        ab[p - 1 - np.arange(p), np.arange(p)] = 0.0  # the dropped first row
+        matrices.append(BandedSymMatrix(ab))
+    return matrices
 
 
-def assemble_mass(kv, rule):
-    """Mass matrix, entries ∫ B_k B_l, SPD."""
-    return _assemble_product(kv, rule, 0)
+def assemble_mass(kv, rule, stiffness=None):
+    """Mass matrix, entries ∫ B_k B_l, SPD.
+
+    Given a Coefficient as `stiffness`, returns the pair (M, K), K being
+    assemble_stiffness(kv, rule, stiffness) bit for bit, from one pass
+    in which each element chunk's basis table serves both matrices.
+    """
+    if stiffness is None:
+        return _assemble_products(kv, rule, [(0, None)])[0]
+    return tuple(_assemble_products(kv, rule, [(0, None), (1, stiffness)]))
 
 
 def assemble_stiffness(kv, rule, coeff):
     """Stiffness matrix, entries ∫ κ B_k' B_l', SPD on interior DOFs."""
-    return _assemble_product(kv, rule, 1, coeff)
+    return _assemble_products(kv, rule, [(1, coeff)])[0]
 
 
 def assemble_load(kv, rule, f):
     """Load vector F_k = ∫ f(x) B_k(x) dx for a callable f that acts elementwise."""
     p = kv.p
-    xs, ws, firsts, vals = rule if isinstance(rule, tuple) else element_tables(kv, rule, 0)
-    values = np.ascontiguousarray(vals[:, :, 0, :])  # a strided block can round differently
-    local = np.matmul((ws * f(xs))[:, None, :], values)[:, 0]
     full = np.zeros(kv.dim)
-    for a in range(p, -1, -1):  # a downwards adds each entry's elements in order
-        full[firsts + a] += local[:, a]
+    for xs, ws, firsts, vals in _element_passes(kv, rule, 0):
+        values = np.ascontiguousarray(vals[:, :, 0, :])  # a strided block can round differently
+        local = np.matmul((ws * f(xs))[:, None, :], values)[:, 0]
+        for a in range(p, -1, -1):  # a downwards adds each entry's elements in order
+            full[firsts + a] += local[:, a]
     return full[1:-1]
 
 

@@ -8,12 +8,15 @@ Subcommands map one-to-one onto the experiment drivers:
   solve             single manufactured-solution run with an error trace
 
 Exit codes: 0 success, 2 invalid usage or parameters, 3 numerical failure,
-4 blow-up detected during time integration.
+4 blow-up detected during time integration, 5 an output file cannot be
+written.
 """
 
 import argparse
 import configparser
+import errno
 import math
+import os
 import sys
 
 from . import experiments as ex
@@ -176,6 +179,25 @@ def _single(parser, values, name, fallback):
     return values[0]
 
 
+class _OutputError(Exception):
+    """An output file that cannot be written; the message is the OSError's."""
+
+
+def _check_writable(path):
+    # The error that opening path for writing would meet, as far as it
+    # shows without creating the file.
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _OutputError(OSError(code, os.strerror(code), path))
+
+
 def _problem(args):
     """The problem keywords every driver takes."""
     return dict(kappa=args.kappa, eta_a=args.eta_a, eta_b=args.eta_b)
@@ -184,9 +206,12 @@ def _problem(args):
 def _write(args, rows, xcol, ycols, **scales):
     """Write rows under their own keys, and any gnuplot script."""
     header = list(rows[0])
-    ex.write_csv(args.out, header, rows)
-    if args.gnuplot:
-        ex.write_gnuplot_script(args.gnuplot, args.out, header, xcol, ycols, **scales)
+    try:
+        ex.write_csv(args.out, header, rows)
+        if args.gnuplot:
+            ex.write_gnuplot_script(args.gnuplot, args.out, header, xcol, ycols, **scales)
+    except OSError as err:
+        raise _OutputError(err) from None
 
 
 def _run_spectrum(parser, args):
@@ -252,7 +277,13 @@ def main(argv=None):
     if args.out is None:
         subs.choices[args.command].error("the following arguments are required: --out")
     try:
+        for path in (args.out, args.gnuplot):  # before any cell runs
+            if path is not None:
+                _check_writable(path)
         return args.run(parser, args)
+    except _OutputError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return 5
     except ex.BlowupDetected as err:
         print(f"blow-up: {err}", file=sys.stderr)
         return 4

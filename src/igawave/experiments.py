@@ -19,7 +19,6 @@ import numpy as np
 from .assembly_1d import (
     assemble_load,
     assemble_mass,
-    assemble_stiffness,
     element_tables,
     kappa_variant,
     penalized_forms,
@@ -80,9 +79,7 @@ def build_1d(p, N, kappa="one", eta_a=1.0, eta_b=1.0):
     coeff = kappa_variant(kappa)
     kv = open_uniform_knots(p, N)
     rule = rule_for_degree(p, coeff.smooth_polynomial)
-    tables = element_tables(kv, rule, 1)  # one basis evaluation for both matrices
-    M = assemble_mass(kv, tables)
-    K = assemble_stiffness(kv, tables, coeff)
+    M, K = assemble_mass(kv, rule, stiffness=coeff)  # one basis table per pass for both
     Mt, Kt = penalized_forms(M, K, kv, eta_a, eta_b)
     return Discretization1D(kv=kv, M=M, K=K, Mt=Mt, Kt=Kt)
 
@@ -147,6 +144,14 @@ def _process_map(fn, items, workers):
     library afresh, about 0.33 s on 2 cores (the fresh-interpreter bench in
     benchmarks/test_layers.py), which is longer than a whole default 2D
     study.
+
+    What two workers buy depends on the host having idle cores.  On 2
+    shared vCPUs, two CPU-bound processes each took 1.9 to 2.1 times as
+    long as one alone (igawave cells: 8.8-9.0 ms -> 16.9-18.9 ms, and
+    31-32 ms -> 59-64 ms), and spectrum cells ran at 0.55 to 3.1 times
+    their serial time inside the children, so there two workers were no
+    faster than one.  Timing claims about this map rest on CPU work, not
+    on overlap.
     """
     if workers <= 1 or len(items) <= 1 or not hasattr(os, "fork"):
         return _pool_map(fn, items, workers)

@@ -85,6 +85,13 @@ def _find_spans(kv, xs):
     return np.where(xs >= 1.0, N + p - 1, p + e + up - down)
 
 
+# Points per pass of eval_basis_many: the Cox-de Boor triangle of a pass
+# holds (p+1)^2 BASIS_CHUNK floats, 0.4 MB at p = 6.  At 2048 points a
+# pass, build_1d(6, 1000) peaked at 2.5 MB against 1.9 MB, and took 2 to
+# 9% less time.
+BASIS_CHUNK = 1024
+
+
 def eval_basis_many(kv, xs, max_deriv=0):
     """The p+1 active basis functions and their derivatives at each point.
 
@@ -96,11 +103,28 @@ def eval_basis_many(kv, xs, max_deriv=0):
     0 <= max_deriv <= p.  Each point goes through exactly the floating-point
     operations of the one-point recurrence (Piegl & Tiller, A2.3), only on
     arrays over points, so the values do not depend on how they are batched.
+    The points run in passes of BASIS_CHUNK, each written into the two
+    outputs, so the memory used besides them is one pass's, whatever
+    len(xs) is: the pass's Cox-de Boor triangle, (p+1)^2 BASIS_CHUNK
+    floats, and a few (p+1)-by-BASIS_CHUNK arrays.
     """
-    p, n, knots = kv.p, max_deriv, kv.knots
+    p, n = kv.p, max_deriv
     if not 0 <= n <= p:
         raise ValueError(f"derivative order {n} outside 0..{p}")
     xs = np.asarray(xs, dtype=float)
+    m = xs.shape[0]
+    firsts = np.empty(m, dtype=int)
+    ders = np.empty((m, n + 1, p + 1))
+    for i in range(0, m, BASIS_CHUNK):
+        part = slice(i, i + BASIS_CHUNK)
+        firsts[part] = _eval_pass(kv, xs[part], ders[part].transpose(1, 2, 0))
+    return firsts, ders
+
+
+def _eval_pass(kv, xs, ders):
+    # One pass of eval_basis_many: writes ders[k, a, i], a view of the
+    # output, and returns the first active index of each point.
+    p, n, knots = kv.p, ders.shape[0] - 1, kv.knots
     span = _find_spans(kv, xs)
     m = xs.shape[0]
     # Triangular table of the Cox-de Boor recursion, then the derivative
@@ -120,7 +144,6 @@ def eval_basis_many(kv, xs, max_deriv=0):
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((n + 1, p + 1, m))
     ders[0] = ndu[:, p]
     a = np.empty((2, p + 1, m))
     for r in range(p + 1):
@@ -148,7 +171,7 @@ def eval_basis_many(kv, xs, max_deriv=0):
     for k in range(1, n + 1):
         ders[k] *= fac
         fac *= p - k
-    return span - p, np.ascontiguousarray(ders.transpose(2, 0, 1))
+    return span - p
 
 
 def greville_points(kv):

@@ -5,8 +5,9 @@ matrices and is never materialized: matrix-vector products sweep one axis
 at a time on the reshaped coefficient tensor, and the mass solve factors
 into one banded Cholesky solve per axis because the mass stays a single
 Kronecker product.  An operator binds its dense axis factors and each
-axis's transpose orders when it is built, so an apply or a solve is only
-the per-axis matrix products or banded solves.
+axis's transpose when it is built, so an apply or a solve is only the
+per-axis matrix products or banded solves, with C order restored once at
+the end.
 
 C-order flattening everywhere: coefficient (i, j[, k]) lives at flat index
 (i * ny + j) * nz + k.
@@ -18,20 +19,29 @@ __all__ = ["KroneckerOperator", "build_tensor_operators", "kron_mass_factor"]
 
 
 def _axis_layouts(dims):
-    """Per axis: the order that moves it first, the moved shape, and the order back.
+    """Per axis, the transpose into its layout and that layout's shape; then the one back.
 
-    An axis moved first, with the others in their order flattened into the
-    columns, is the layout and the matrix product that
-    np.tensordot(f, X, axes=(1, axis)) uses, without its bookkeeping.
+    Axis a's layout is the one np.tensordot(f, X, axes=(1, a)) multiplies
+    in: axis a first, the other axes in their order flattened into the
+    columns.  Each transpose starts from the layout the axis before left
+    (C order for the first), and the last one goes from the final layout
+    back to C order, so a sweep moves each axis once and never back.
     """
-    orders = [(a, *range(a), *range(a + 1, len(dims))) for a in range(len(dims))]
-    return [(o, tuple(dims[i] for i in o), tuple(np.argsort(o))) for o in orders]
+    steps, held = [], tuple(range(len(dims)))  # held[i]: the axis stored at position i
+    for a in range(len(dims)):
+        order = (a, *range(a), *range(a + 1, len(dims)))
+        steps.append((tuple(held.index(i) for i in order), tuple(dims[i] for i in order)))
+        held = order
+    return steps, tuple(held.index(i) for i in range(len(dims)))
 
 
-def _sweep(maps, X, layouts):
-    """Apply maps[a], a map on (n_a, m) column blocks, along each axis a of X in turn."""
-    for fn, (order, shape, back) in zip(maps, layouts):
-        X = fn(X.transpose(order).reshape(shape[0], -1)).reshape(shape).transpose(back)
+def _sweep(maps, X, steps):
+    """Apply maps[a], a map on (n_a, m) column blocks, along each axis a of X in turn.
+
+    The result is left in the last axis's layout.
+    """
+    for fn, (move, shape) in zip(maps, steps):
+        X = fn(X.transpose(move).reshape(shape[0], -1)).reshape(shape)
     return X
 
 
@@ -57,10 +67,11 @@ class KroneckerOperator:
         if x.shape != (self.total_dim,):
             raise ValueError(f"expected vector of length {self.total_dim}")
         X = x.reshape(self.dims)
-        out = np.zeros_like(X)
+        steps, back = self._layouts
+        out = np.zeros(steps[-1][1])  # summed in the last axis's layout, then moved once
         for maps in self._applies:
-            out += _sweep(maps, X, self._layouts)
-        return out.reshape(-1)
+            out += _sweep(maps, X, steps)
+        return out.transpose(back).reshape(-1)
 
     def to_dense(self):
         """Materialized matrix; intended for small cross-check problems."""
@@ -109,9 +120,10 @@ def kron_mass_factor(mass):
     if len(mass.terms) != 1:
         raise ValueError("mass operator must be a single Kronecker product")
     solvers = [f.factor() for f in mass.terms[0]]
-    dims, layouts = mass.dims, mass._layouts
+    dims, (steps, back) = mass.dims, mass._layouts
 
     def solve(b):
-        return _sweep(solvers, np.asarray(b, dtype=float).reshape(dims), layouts).reshape(-1)
+        X = _sweep(solvers, np.asarray(b, dtype=float).reshape(dims), steps)
+        return X.transpose(back).reshape(-1)
 
     return solve

@@ -13,6 +13,7 @@ import pytest
 from scipy.interpolate import BSpline
 
 import igawave.assembly_1d
+import igawave.spline_basis
 from igawave.assembly_1d import (
     BandedSymMatrix,
     Coefficient,
@@ -437,6 +438,53 @@ def test_build_1d_evaluates_its_gauss_point_table_once(table_calls):
     evaluations go through spline_basis and are not counted here."""
     build_1d(5, 40)
     assert table_calls == [(40 * 6, 1)]
+
+
+def test_build_1d_evaluates_each_gauss_point_once_per_pass(table_calls, monkeypatch):
+    monkeypatch.setattr(igawave.assembly_1d, "ELEMENT_CHUNK", 16)
+    build_1d(5, 40)
+    assert table_calls == [(16 * 6, 1), (16 * 6, 1), (8 * 6, 1)]
+
+
+def single_pass(monkeypatch, fn, *args):
+    """fn(*args) with the assembly and the basis tables each in one pass."""
+    with monkeypatch.context() as m:
+        m.setattr(igawave.assembly_1d, "ELEMENT_CHUNK", 10**9)
+        m.setattr(igawave.spline_basis, "BASIS_CHUNK", 10**9)
+        return fn(*args)
+
+
+EDGE = igawave.assembly_1d.ELEMENT_CHUNK
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_passes_give_the_bits_of_one_pass(p, monkeypatch):
+    """build_1d's four bands and the load, in passes of ELEMENT_CHUNK
+    elements, against the whole grid in one pass."""
+    for N in (2, 5, 40, EDGE - 1, EDGE, EDGE + 1, 3000):
+        for kappa in ("one", "exp"):
+            got = build_1d(p, N, kappa)
+            want = single_pass(monkeypatch, build_1d, p, N, kappa)
+            for name in ("M", "K", "Mt", "Kt"):
+                np.testing.assert_array_equal(getattr(got, name).ab, getattr(want, name).ab)
+        kv, rule, load = open_uniform_knots(p, N), gauss_legendre(p + 3), manufactured_case("exp").load
+        np.testing.assert_array_equal(assemble_load(kv, rule, load),
+                                      single_pass(monkeypatch, assemble_load, kv, rule, load))
+
+
+@pytest.mark.parametrize("N, limit_mb", [(1000, 2.5), (10_000, 8.0)])
+def test_build_1d_memory_does_not_grow_with_the_point_count(N, limit_mb):
+    """The tracemalloc peak of build_1d(6, N), the result included; one
+    basis table of the whole grid would take 0.78 MB at N = 1000 and its
+    Cox-de Boor triangles 2.7 MB more."""
+    build_1d(6, 50)  # imports and cached rules outside the count
+    tracemalloc.start()
+    try:
+        build_1d(6, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6
 
 
 def looped_load(kv, tables, f):

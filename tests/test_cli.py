@@ -5,12 +5,14 @@ subprocess check of the module entry point.
 
 import argparse
 import csv
+import errno
 import math
 import subprocess
 import sys
 
 import pytest
 
+import igawave.experiments as ex
 from igawave.cli import build_parser, main
 
 
@@ -447,3 +449,30 @@ def test_indefinite_mass_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure: banded Cholesky failed: leading minor of order 5" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, bad", [("--out", "nodir/x.csv"), ("--gnuplot", "nodir/x.gp"),
+                                       ("--out", "."), ("--gnuplot", "x.csv/x.gp")])
+def test_unwritable_output_exits_5_before_any_cell_runs(tmp_path, capsys, monkeypatch, flag, bad):
+    calls = []
+    monkeypatch.setattr(ex, "stability_region", lambda **kwargs: calls.append(kwargs))
+    (tmp_path / "x.csv").write_text("kept\n")  # a file where x.csv/x.gp needs a directory
+    paths = {"--out": tmp_path / "out.csv", "--gnuplot": tmp_path / "out.gp", flag: tmp_path / bad}
+    argv = ["stability-region", "--degrees", "3", "--elements", "5"]
+    assert main(argv + [str(a) for item in paths.items() for a in item]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: [Errno ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_write_failure_exits_5_with_one_line(tmp_path, capsys, monkeypatch):
+    def full_disk(path, header, rows):
+        raise OSError(errno.ENOSPC, "No space left on device", path)
+
+    monkeypatch.setattr(ex, "write_csv", full_disk)
+    argv = ["stability-region", "--degrees", "3", "--elements", "5"]
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 5
+    err = capsys.readouterr().err
+    assert err == f"cannot write output: [Errno 28] No space left on device: '{tmp_path / 'x.csv'}'\n"

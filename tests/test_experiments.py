@@ -140,11 +140,17 @@ def test_an_interrupt_kills_and_reaps_the_workers():
             os.kill(parent, signal.SIGINT)
         time.sleep(30)
 
-    start = time.monotonic()
-    with deadline(20), pytest.raises(KeyboardInterrupt):
-        ex._process_map(cell, [0, 1], 2)
-    assert time.monotonic() - start < 10
-    assert_no_child_left()
+    # A shell starts a background job with SIGINT ignored; the interrupt
+    # must reach this process however pytest was launched.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        start = time.monotonic()
+        with deadline(20), pytest.raises(KeyboardInterrupt):
+            ex._process_map(cell, [0, 1], 2)
+        assert time.monotonic() - start < 10
+        assert_no_child_left()
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 def test_pooled_studies_load_no_multiprocessing(tmp_path):

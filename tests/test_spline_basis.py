@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
+import igawave.spline_basis
 from igawave.spline_basis import (
+    BASIS_CHUNK,
     KnotVector,
     boundary_derivative_vectors,
     eval_basis_many,
@@ -247,8 +249,29 @@ def test_vectorized_kernel_is_bit_identical_to_scalar_oracle(p):
                 np.testing.assert_array_equal(ders[i], ref)
 
 
+@pytest.mark.parametrize("m", [BASIS_CHUNK - 1, BASIS_CHUNK, BASIS_CHUNK + 1])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_passes_give_the_bits_of_one_pass(p, m, monkeypatch):
+    """Points evaluated in passes of BASIS_CHUNK, knots and ends among them
+    on both sides of a pass edge, against all of them in one pass."""
+    kv = open_uniform_knots(p, 7)
+    xs = np.random.default_rng(m + p).uniform(0.0, 1.0, m)
+    knots = kv.breakpoints
+    edges = [i for i in (0, BASIS_CHUNK - 2, BASIS_CHUNK - 1, BASIS_CHUNK, m - 1) if i < m]
+    xs[edges] = np.resize(np.concatenate([knots[1:-1], [0.0, 1.0]]), len(edges))
+    for n in range(p + 1):
+        firsts, ders = eval_basis_many(kv, xs, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(igawave.spline_basis, "BASIS_CHUNK", m)
+            one_firsts, one_ders = eval_basis_many(kv, xs, n)
+        np.testing.assert_array_equal(firsts, one_firsts)
+        np.testing.assert_array_equal(ders, one_ders)
+
+
 def test_eval_basis_many_rejects_points_outside_unit_interval():
     kv = open_uniform_knots(3, 4)
     for bad in (-1e-300, 1.0 + 1e-15, np.nan):
         with pytest.raises(ValueError):
             eval_basis_many(kv, [0.5, bad], 1)
+        with pytest.raises(ValueError, match="outside"):  # in a later pass
+            eval_basis_many(kv, np.append(np.full(BASIS_CHUNK, 0.5), bad), 1)

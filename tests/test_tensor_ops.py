@@ -138,7 +138,8 @@ def moveaxis_solve(mass, b):
     return X.reshape(-1)
 
 
-@pytest.mark.parametrize("d, N", [(2, 4), (2, 9), (3, 3)])
+@pytest.mark.parametrize("d, N", [(2, 4), (2, 9), (3, 3), (2, 16), (2, 33), (2, 64), (2, 130),
+                                  (3, 6), (3, 20)])
 @pytest.mark.parametrize("p", range(1, 8))
 def test_apply_and_solve_match_the_tensordot_route_exactly(p, N, d):
     Mx, Kx = axis_pair(p, N)
