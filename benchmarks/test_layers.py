@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import igawave
-from igawave.assembly_1d import assemble_load, element_tables
+from igawave.assembly_1d import assemble_load, assemble_penalty, element_tables
 from igawave.cli import main
 from igawave.eigen import max_eigenvalue, top_eigenvalue
 from igawave.experiments import _process_map, build_1d, free_run, spectrum_table
@@ -44,16 +44,21 @@ def test_build_1d_p5(benchmark, N):
     assert d.Mt.n == N + 3
 
 
-def bench_build_1d_p6(benchmark, N):
-    """Times build_1d(6, N); extra_info["tracemalloc_peak_mb"] is what one
-    build allocates at its peak, result included, outside the timed rounds."""
-    assert benchmark(build_1d, 6, N).Mt.n == N + 4
+def tracemalloc_peak_mb(fn, *args):
+    """What one call allocates at its peak, result included, in MB."""
     tracemalloc.start()
     try:
-        build_1d(6, N)
-        benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 1e6
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def bench_build_1d_p6(benchmark, N):
+    """Times build_1d(6, N); extra_info["tracemalloc_peak_mb"] is one
+    build's peak, outside the timed rounds."""
+    assert benchmark(build_1d, 6, N).Mt.n == N + 4
+    benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc_peak_mb(build_1d, 6, N)
 
 
 def test_build_1d_p6_n1000(benchmark):
@@ -62,6 +67,13 @@ def test_build_1d_p6_n1000(benchmark):
 
 def test_build_1d_p6_n10000(benchmark):
     bench_build_1d_p6(benchmark, 10_000)
+
+
+def test_assemble_penalty_p6_n100000(benchmark):
+    """One level-2 penalty; extra_info["tracemalloc_peak_mb"] as for build_1d."""
+    kv = open_uniform_knots(6, 100_000)
+    assert benchmark(assemble_penalty, kv, 2).n == kv.interior_dim
+    benchmark.extra_info["tracemalloc_peak_mb"] = tracemalloc_peak_mb(assemble_penalty, kv, 2)
 
 
 def test_assemble_load_p5_n1000(benchmark):

@@ -105,16 +105,27 @@ class BandedSymMatrix:
     def to_dense(self):
         """The n-by-n matrix, built once and read-only."""
         if self._dense is None:
-            u, n = self.bandwidth, self.n
+            u, n, table = self.bandwidth, self.n, self.diagonals()
             a = np.zeros((n, n))
             flat = a.reshape(-1)  # a view; entry (i, j) sits at i * n + j
-            for d in range(min(u, n - 1) + 1):  # (i, i + d) and (i + d, i) are ab[u - d, i + d]
-                v = self.ab[u - d, d:] + 0.0  # a stored -0.0 reads +0.0, on both sides
-                flat[d :: n + 1][: n - d] = v
-                flat[d * n :: n + 1][: n - d] = v
+            for d in range(min(u, n - 1) + 1):  # (i, i + d) and (i + d, i)
+                v = table[u + 1 + d, : n - d]
+                flat[d :: n + 1][: n - d] = flat[d * n :: n + 1][: n - d] = v
             a.setflags(write=False)
             self._dense = a
         return self._dense
+
+    def diagonals(self):
+        """(2u + 3)-by-n table whose row u + 1 + d holds entry (i, i + d) at
+        column i, zero off the matrix and in rows 0 and 2u + 2; read from the
+        stored band only, never the unused corner of ab, -0.0 as +0.0."""
+        u, n = self.bandwidth, self.n
+        table = np.zeros((2 * u + 3, n))
+        for d in range(min(u, n - 1) + 1):  # (i, i + d) and (i + d, i) are ab[u - d, i + d]
+            row = table[u + 1 + d, : n - d]
+            np.add(self.ab[u - d, d:], 0.0, out=row)
+            table[u + 1 - d, d:] = row
+        return table
 
     def _stack(self):
         # (columns, windows, c0, trailing window).  Window b holds rows
@@ -134,13 +145,7 @@ class BandedSymMatrix:
         cols = np.clip(i0 - reach, 0, tail - width)[:, None] + np.arange(width)
         t0 = count * r
         c0 = max(t0 - u, 0) // g * g
-        # band[u + 1 + d, i] is entry (i, i + d) for |d| <= u, and rows 0 and
-        # 2u + 2 hold the zeros off the band; a stored -0.0 reads +0.0.
-        band = np.zeros((2 * u + 3, n))
-        np.add(self.ab, 0.0, out=band[1 : u + 2])
-        for d in range(1, min(u, n - 1) + 1):
-            np.add(self.ab[u - d, d:], 0.0, out=band[u + 1 + d, : n - d])
-        band = band.reshape(-1)
+        band = self.diagonals().reshape(-1)  # rows 0 and 2u + 2 hold the zeros off the band
 
         def entries(i, j):  # entries (i, j) of the matrix, broadcast, in one read
             at = j - i
@@ -186,14 +191,19 @@ class BandedSymMatrix:
         np.matmul(stack, x[cols], out=y[:k].reshape(-1, ROW_BLOCK, 1))
         return y
 
+    def widened(self, u):
+        """The same matrix on bandwidth u >= self.bandwidth, in a new Fortran-order band."""
+        ab = np.zeros((u + 1, self.n), order="F")
+        ab[u - self.bandwidth :] = self.ab
+        return BandedSymMatrix(ab)
+
     def add_scaled(self, other, coeff):
         """self + coeff * other, aligned on the larger bandwidth."""
         if other.n != self.n:
             raise ValueError("dimension mismatch")
         u = max(self.bandwidth, other.bandwidth)
-        ab = np.zeros((u + 1, self.n))
-        ab[u - self.bandwidth :, :] = self.ab
-        ab[u - other.bandwidth :, :] += coeff * other.ab
+        ab = self.widened(u).ab
+        ab[u - other.bandwidth :] += coeff * other.ab
         return BandedSymMatrix(ab)
 
     def factor(self):
@@ -314,17 +324,20 @@ def assemble_penalty(kv, ell):
     """Penalty matrix for level ell (derivative order 2*ell).
 
     d0 d0^T + d1 d1^T with d0, d1 the 2l-th basis derivative values at the
-    two boundary points; bandwidth stays p because the two outer products
-    touch disjoint corner blocks.
+    two boundary points, zero outside the first and last p interior DOFs:
+    only those two p-by-p corners are written, added where they overlap.
     """
     if not 1 <= ell <= alpha_of(kv.p):
         raise ValueError(f"penalty level {ell} outside 1..{alpha_of(kv.p)}")
     d0, d1 = (d[1:-1] for d in boundary_derivative_vectors(kv, 2 * ell))
-    # Band entry ab[p + i - j, j] = d0[i] d0[j] + d1[i] d1[j], zero above row 0.
-    j = np.arange(d0.size)
-    i = j - kv.p + np.arange(kv.p + 1)[:, None]
-    ic = np.maximum(i, 0)
-    return BandedSymMatrix(np.where(i >= 0, d0[ic] * d0[j] + d1[ic] * d1[j], 0.0))
+    p, n = kv.p, d0.size
+    c = min(p, n)
+    ab = np.zeros((p + 1, n))
+    i, j = np.triu_indices(c)  # entry (i, j), i <= j, sits at ab[p + i - j, j]
+    ab[p + i - j, j] += d0[i] * d0[j]
+    i, j = i + n - c, j + n - c  # the last corner
+    ab[p + i - j, j] += d1[i] * d1[j]
+    return BandedSymMatrix(ab)
 
 
 def _weight(name, eta):

@@ -157,15 +157,6 @@ SWEEPS = 50  # 2-4 settle a well-conditioned pair
 FACTORIZATIONS = 128  # a cap: a bracket around lambda_max = 0 never gets relatively narrow
 
 
-def _band_rows(ab):
-    """Entries (i, i-u) .. (i, i+u) of each row i of the upper band ab, 0 outside."""
-    u, n = ab.shape[0] - 1, ab.shape[1]
-    rows = np.zeros((n, 2 * u + 1))
-    for d in range(u + 1):
-        rows[: n - d, u + d] = rows[d:, u - d] = ab[u - d, d:]  # (i, i+d) = (i+d, i)
-    return rows
-
-
 def _band_apply(rows, x):
     """Each (n, 2u+1) rows of a stack times x (n, k): one einsum, x's precision."""
     u = (rows.shape[-1] - 1) // 2
@@ -209,14 +200,14 @@ def top_eigenvalue(K, M):
     if M.n != n:
         raise ValueError(f"dimension mismatch: K has {n} unknowns, M has {M.n}")
     u = max(K.bandwidth, M.bandwidth)
-    kab, mab = np.zeros((u + 1, n), order="F"), np.zeros((u + 1, n), order="F")
-    kab[u - K.bandwidth :] = K.ab
-    mab[u - M.bandwidth :] = M.ab
-    _, info = dpbtrf(mab)
+    K, M = K.widened(u), M.widened(u)
+    _, info = dpbtrf(M.ab)
     if info != 0:
         raise NumericalFailure(f"dpbtrf failed with INFO={n + info} (M is not positive definite)")
-    factor = _shift_above(kab, mab)
-    rows = np.stack([_band_rows(kab), _band_rows(mab)])
+    factor = _shift_above(K.ab, M.ab)
+    # Entries (i, i-u) .. (i, i+u) of each row i, in a C-order array: the
+    # einsum of _band_apply sums in an order that follows the layout.
+    rows = np.array([K.diagonals()[1:-1].T, M.diagonals()[1:-1].T], order="C")
     rows_ext = rows.astype(np.longdouble)
     V = start_data((n, min(BLOCK, n)), 0)
     value = None

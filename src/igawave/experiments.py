@@ -58,6 +58,8 @@ __all__ = [
     "write_gnuplot_script",
 ]
 
+RHO_GRID = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)  # stability_region's 21 rho values
+
 
 class BlowupDetected(RuntimeError):
     """Time integration tripped the growth threshold."""
@@ -286,7 +288,7 @@ def _check_degrees(degrees, kappa, manufactured=False):
             raise ValueError(f"degrees must lie in 1..{top} in this run, got {p}")
 
 
-def _check_run(dim, kappa, degrees, T, steps, name="n_steps"):
+def _check_run(dim, kappa, degrees, rho, T, steps, name="n_steps"):
     """Reject what no manufactured-solution run can take, before any work."""
     if dim not in (1, 2):
         raise ValueError(f"manufactured-solution runs are 1D or 2D, got dim={dim!r}")
@@ -297,6 +299,7 @@ def _check_run(dim, kappa, degrees, T, steps, name="n_steps"):
         raise ValueError(f"T must be finite and positive, got {T!r}")
     if min(steps) < 1:
         raise ValueError(f"{name} must be at least 1, got {steps!r}")
+    params_from_rho(rho)
 
 
 def _check_distinct(name, values):
@@ -382,7 +385,7 @@ def convergence_space(
     workers=4,
 ):
     """Mesh-refinement study rows with pairwise observed rates per degree."""
-    _check_run(dim, kappa, degrees, T, [n_steps])
+    _check_run(dim, kappa, degrees, rho, T, [n_steps])
     _check_distinct("degrees", degrees)
     _check_distinct("elements", elements)
     cells = sorted((p, N) for p in degrees for N in elements)
@@ -415,7 +418,7 @@ def convergence_time(
 ):
     """Step-refinement study at a fixed fine mesh; rates are in tau."""
     steps_list = sorted(int(s) for s in steps_list)
-    _check_run(1, kappa, [p], T, steps_list, "steps_list")
+    _check_run(1, kappa, [p], rho, T, steps_list, "steps_list")
     _check_distinct("steps_list", steps_list)
 
     def one(n_steps):
@@ -427,25 +430,15 @@ def convergence_time(
     return rows
 
 
-def stability_region(
-    p=6,
-    N=80,
-    kappa="one",
-    eta_a=1.0,
-    eta_b=1.0,
-    rho_values=None,
-):
-    """Critical steps of both discretizations over a rho grid."""
-    if rho_values is None:
-        rho_values = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)
-    params = [params_from_rho(rho) for rho in rho_values]  # a bad rho fails before any work
+def stability_region(p=6, N=80, kappa="one", eta_a=1.0, eta_b=1.0):
+    """Critical steps of both discretizations over the RHO_GRID of rho values."""
     _check_degrees([p], kappa)
     d = build_1d(p, N, kappa, eta_a, eta_b)
     lam = top_eigenvalue(d.K, d.M)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
     return [
         {"rho": float(rho), "tau_c": c / np.sqrt(lam), "tau_c_tilde": c / np.sqrt(lam_t)}
-        for rho, c in zip(rho_values, map(critical_omega, params))
+        for rho, c in zip(RHO_GRID, map(critical_omega, map(params_from_rho, RHO_GRID)))
     ]
 
 
@@ -468,7 +461,7 @@ def solve_mms(
     Returns (rows, blew_up); rows hold (step, t, l2_error) every `stride`
     steps, including step 0 and the stopping step.
     """
-    _check_run(dim, kappa, [p], T, [n_steps])
+    _check_run(dim, kappa, [p], rho, T, [n_steps])
     if stride is None:
         stride = max(1, n_steps // 200)
     if stride < 1:
@@ -490,24 +483,25 @@ def solve_mms(
     return rows, res.blew_up
 
 
-def free_run(p, N, rho, tau_factor, n_steps, kappa="one", seed=7):
+def free_run(p, N, rho, tau_factor, n_steps, seed=7):
     """Unforced integration from seeded data at tau = tau_factor * tau_c.
 
-    Uses the penalized operators; returns (IntegrationResult, tau).  This is
-    the empirical side of the stability analysis: below the critical step
-    the run stays bounded, above it the blow-up flag fires quickly.  The
+    Uses the penalized operators of the unit coefficient; returns
+    (IntegrationResult, tau).  This is the empirical side of the stability
+    analysis: below the critical step the run stays bounded, above it the
+    blow-up flag fires quickly.  The
     start displacement is eigen.start_data((n,), seed), uniform on [-1, 1),
     and the start velocity is zero; seed is an int in [0, 2^64), so equal
     seeds give identical runs.
     """
-    _check_degrees([p], kappa)
+    _check_degrees([p], "one")
     check_seed(seed)
     if not (math.isfinite(tau_factor) and tau_factor > 0.0):
         raise ValueError(f"tau_factor must be finite and positive, got {tau_factor!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps!r}")
     params = params_from_rho(rho)
-    d = build_1d(p, N, kappa)
+    d = build_1d(p, N)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
     tau = tau_factor * critical_omega(params) / np.sqrt(lam_t)
     solve = d.Mt.factor()

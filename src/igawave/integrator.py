@@ -59,7 +59,6 @@ BLOWUP_FACTOR = 1.0e6
 class AlphaParams:
     rho: float
     alpha_m: float
-    alpha_f: float
     gamma: float
     beta: float
 
@@ -89,7 +88,7 @@ def params_from_rho(rho):
     alpha_m = (2.0 - rho) / (rho + 1.0)
     gamma = 0.5 + alpha_m
     beta = (3.0 * rho - 5.0) / ((rho - 2.0) * (rho + 1.0) ** 2)
-    return AlphaParams(rho=rho, alpha_m=alpha_m, alpha_f=0.0, gamma=gamma, beta=beta)
+    return AlphaParams(rho=rho, alpha_m=alpha_m, gamma=gamma, beta=beta)
 
 
 def initial_state(solve_M, apply_K, f0, u0, v0):
@@ -103,10 +102,11 @@ def initial_state(solve_M, apply_K, f0, u0, v0):
 def step(state, solve_M, apply_K, load, tau, params):
     """Advance one step of size tau; exactly one mass solve.
 
-    `load` maps a time to the assembled force vector at that time.
+    `load` maps a time to the assembled force vector at that time; the
+    explicit scheme reads it at the step's start.
     """
-    am, af, g, b = params.alpha_m, params.alpha_f, params.gamma, params.beta
-    a_mid = solve_M(load(state.t + af * tau) - apply_K(state.u))
+    am, g, b = params.alpha_m, params.gamma, params.beta
+    a_mid = solve_M(load(state.t) - apply_K(state.u))
     da = (a_mid - state.a) / am
     u1 = state.u + tau * state.v + 0.5 * tau**2 * state.a + tau**2 * b * da
     v1 = state.v + tau * state.a + tau * g * da
@@ -134,7 +134,7 @@ def integrate(state0, solve_M, apply_K, load, tau, n_steps, params, callback=Non
     a = np.array(state0.a, dtype=float)
     if not (np.isfinite(uv).all() and np.isfinite(a).all()):
         raise ValueError("initial state must be finite")
-    am, af, g, b = params.alpha_m, params.alpha_f, params.gamma, params.beta
+    am, g, b = params.alpha_m, params.gamma, params.beta
     # The scalar factors of step's products, folded the way step evaluates
     # them: u gets (tau^2/2) a and (tau^2 b) da, v gets tau a and (tau g) da.
     coef_a = np.array([[0.5 * tau**2], [tau]])
@@ -147,7 +147,7 @@ def integrate(state0, solve_M, apply_K, load, tau, n_steps, params, callback=Non
     peak = float(np.abs(u).max())
     threshold = BLOWUP_FACTOR * peak + BLOWUP_FACTOR
     for i in range(1, n_steps + 1):
-        np.subtract(load(t + af * tau), apply_K(u), rhs)
+        np.subtract(load(t), apply_K(u), rhs)
         np.subtract(solve_M(rhs), a, da)
         da /= am
         # Left to right, as in step: u + tau v + (tau^2/2) a + (tau^2 b) da

@@ -174,6 +174,44 @@ def test_banded_add_scaled_and_factor():
     np.testing.assert_allclose(solve(B), np.linalg.solve(M.to_dense(), B), rtol=1e-11)
 
 
+def band_with_traps(rng, u, n):
+    """A random upper band with stored -0.0 entries and NaN in the unused corner of ab."""
+    ab = rng.standard_normal((u + 1, n))
+    ab[rng.random(ab.shape) < 0.25] = -0.0
+    for d in range(1, u + 1):
+        ab[u - d, :d] = np.nan  # ab[u - d, j] with j < d would be entry (j - d, j)
+    return ab
+
+
+@pytest.mark.parametrize("u, n", [(0, 1), (2, 1), (2, 3), (3, 3), (4, 9), (6, 300)])
+def test_diagonals_read_the_stored_band_only(u, n):
+    ab = band_with_traps(np.random.default_rng(10 * u + n), u, n)
+    B = BandedSymMatrix(ab)
+    want = np.zeros((n, n))  # entry (i, j), i <= j, read by hand from ab[u + i - j, j]
+    for j in range(n):
+        for i in range(max(0, j - u), j + 1):
+            want[i, j] = want[j, i] = ab[u + i - j, j] + 0.0
+    np.testing.assert_array_equal(B.to_dense(), want)
+    table = B.diagonals()
+    assert table.shape == (2 * u + 3, n) and np.isfinite(table).all()
+    assert not np.signbit(table[table == 0.0]).any()  # a stored -0.0 reads +0.0
+    i = np.arange(n)
+    for d in range(-u - 1, u + 2):
+        j = i + d
+        inside = (0 <= j) & (j < n) & (abs(d) <= u)
+        np.testing.assert_array_equal(table[u + 1 + d],
+                                      np.where(inside, want[i, j.clip(0, n - 1)], 0.0))
+
+
+@pytest.mark.parametrize("n", [9, 300])  # the whole-matrix product, and stacked windows
+def test_the_unused_corner_of_ab_is_never_read(n):
+    ab = band_with_traps(np.random.default_rng(n), 6, n)
+    B, C = BandedSymMatrix(ab), BandedSymMatrix(np.nan_to_num(ab, nan=0.0))
+    x = np.random.default_rng(1).standard_normal(n)
+    assert B.matvec(x).tobytes() == C.matvec(x).tobytes()
+    assert B.to_dense().tobytes() == C.to_dense().tobytes()
+
+
 def test_alpha_levels():
     assert [alpha_of(p) for p in range(1, 8)] == [0, 0, 1, 1, 2, 2, 3]
     with pytest.raises(ValueError):
@@ -345,6 +383,50 @@ def test_banded_assembly_matches_dense_reference_exactly(p, smooth):
             assert_banded_equals(assemble_penalty(kv, ell), np.outer(d0, d0) + np.outer(d1, d1))
 
 
+def grid_penalty(kv, ell):
+    """The penalty as it was built before only its corners were written: both
+    outer products over a masked (p + 1)-by-n index grid of the band."""
+    d0, d1 = (d[1:-1] for d in boundary_derivative_vectors(kv, 2 * ell))
+    j = np.arange(d0.size)
+    i = j - kv.p + np.arange(kv.p + 1)[:, None]
+    ic = np.maximum(i, 0)
+    return BandedSymMatrix(np.where(i >= 0, d0[ic] * d0[j] + d1[ic] * d1[j], 0.0))
+
+
+@pytest.mark.parametrize("p", range(3, 12))
+def test_penalty_corners_sum_both_outer_products(monkeypatch, p):
+    """At n < 2p the two corners overlap and add; M~ and K~ keep the bytes
+    that the masked grid gave them."""
+    for N in (2, 3, 5, 8, 40):
+        kv = open_uniform_knots(p, N)
+        for ell in range(1, alpha_of(p) + 1):
+            d0, d1 = (d[1:-1] for d in boundary_derivative_vectors(kv, 2 * ell))
+            dense = assemble_penalty(kv, ell).to_dense()
+            assert np.array_equal(dense, np.outer(d0, d0) + np.outer(d1, d1))
+        for coeff in (ONE, EXP):
+            M, K = assemble_mass(kv, gauss_legendre(min(p + 3, MAX_POINTS)), stiffness=coeff)
+            got = penalized_forms(M, K, kv)
+            with monkeypatch.context() as m:
+                m.setattr(igawave.assembly_1d, "assemble_penalty", grid_penalty)
+                want = penalized_forms(M, K, kv)
+            assert [B.ab.tobytes() for B in got] == [B.ab.tobytes() for B in want]
+
+
+def test_penalty_memory_is_its_band():
+    """One level-2 penalty at p = 6, N = 10^5 peaks at 7.2 MB under
+    tracemalloc: its 5.6 MB band and the two 0.8 MB boundary vectors.  The
+    masked (p + 1)-by-n grid peaked at 31.9 MB."""
+    kv = open_uniform_knots(6, 100_000)
+    assemble_penalty(open_uniform_knots(6, 10), 2)  # imports outside the count
+    tracemalloc.start()
+    try:
+        assemble_penalty(kv, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
 def loop_product(kv, rule, deriv, coeff=None):
     """The per-element einsum loop that the batched assembly replaced.
 
@@ -472,7 +554,7 @@ def test_passes_give_the_bits_of_one_pass(p, monkeypatch):
                                       single_pass(monkeypatch, assemble_load, kv, rule, load))
 
 
-@pytest.mark.parametrize("N, limit_mb", [(1000, 2.5), (10_000, 8.0)])
+@pytest.mark.parametrize("N, limit_mb", [(1000, 2.5), (10_000, 8.0), (100_000, 45.0)])
 def test_build_1d_memory_does_not_grow_with_the_point_count(N, limit_mb):
     """The tracemalloc peak of build_1d(6, N), the result included; one
     basis table of the whole grid would take 0.78 MB at N = 1000 and its

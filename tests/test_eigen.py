@@ -406,6 +406,31 @@ def test_top_eigenvalue_of_a_negative_definite_pair():
     assert top_eigenvalue(BandedSymMatrix(-M.ab), M) == pytest.approx(-1.0, rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize("p, N, kappa, penalized, value", [
+    (5, 2, "exp", False, 353.78858573698136),
+    (6, 2, "exp", True, 46.24760040399501),
+    (6, 1000, "one", True, 9871964.937621973),
+])
+def test_top_eigenvalue_keeps_its_bits(p, N, kappa, penalized, value):
+    """The band rows enter an einsum whose summation order follows their
+    memory layout.  Rows stacked from transposed diagonal tables, rather than
+    copied into one C-order array, moved these values by up to 7e-14."""
+    d = build_1d(p, N, kappa)
+    K, M = (d.Kt, d.Mt) if penalized else (d.K, d.M)
+    assert top_eigenvalue(K, M) == value
+
+
+def test_top_eigenvalue_never_reads_the_unused_corner_of_ab():
+    d = build_1d(6, 40, "exp")
+    pair = []
+    for B in (d.Kt, d.Mt):
+        ab, u = B.ab.copy(), B.bandwidth
+        for k in range(1, u + 1):
+            ab[u - k, :k] = np.nan
+        pair.append(BandedSymMatrix(ab))
+    assert top_eigenvalue(*pair).hex() == top_eigenvalue(d.Kt, d.Mt).hex()
+
+
 def test_top_eigenvalue_that_does_not_settle_raises(monkeypatch):
     import igawave.eigen as eigen
 

@@ -254,13 +254,21 @@ def test_free_run_is_reproducible():
     assert not np.array_equal(a.final.u, c.final.u)
 
 
-def test_stability_region_checks_its_rho_grid_before_assembly(monkeypatch):
+BAD_RHO_RUNS = {
+    "convergence_space": {"degrees": [3, 4], "elements": [20, 40], "workers": 2},
+    "convergence_time": {"steps_list": [10, 20], "workers": 2},
+    "solve_mms": {},
+}
+
+
+@pytest.mark.parametrize("study", BAD_RHO_RUNS)
+def test_a_bad_rho_is_rejected_before_assembly(monkeypatch, study):
     def build_1d(*args, **kwargs):
-        raise AssertionError("assembly ran before the rho grid was checked")
+        raise AssertionError("assembly ran before rho was checked")
 
     monkeypatch.setattr(ex, "build_1d", build_1d)
     with pytest.raises(ValueError, match="^rho must"):
-        ex.stability_region(6, 2000, rho_values=[0.5, 1.5])
+        getattr(ex, study)(rho=1.5, **BAD_RHO_RUNS[study])
 
 
 def test_spectrum_table_takes_the_unit_coefficient_object_in_2d():

@@ -35,7 +35,6 @@ def zero_load(t):
 def test_parameter_family_endpoints():
     p1 = params_from_rho(1.0)
     assert (p1.alpha_m, p1.gamma, p1.beta) == pytest.approx((0.5, 1.0, 0.5))
-    assert p1.alpha_f == 0.0
     p0 = params_from_rho(0.0)
     assert (p0.alpha_m, p0.gamma, p0.beta) == pytest.approx((2.0, 2.5, 2.5))
     ph = params_from_rho(0.5)
