@@ -3,10 +3,10 @@
 All matrices live on the interior degrees of freedom: the two basis
 functions supported on the boundary are removed, which is exactly the
 homogeneous Dirichlet condition for open knot vectors.  Storage is banded
-symmetric (upper form, bandwidth p).  The apply runs one BLAS product per
-row block on cached windows of the band, with the dense product's bits
-(see BandedSymMatrix.matvec); the small dense eigensolves and the
-Kronecker operators use a cached dense view, written from the band in one
+symmetric (upper form, bandwidth p), the only form a matrix keeps.  The
+apply of a vector, or of a Kronecker operator's block of columns, runs one
+BLAS product per row block on cached windows of the band; the dense
+eigensolves build a dense view on demand, written from the band in one
 pass with no second n-by-n temporary.  Each integral runs over the
 elements in passes of ELEMENT_CHUNK, in element order; a pass is one basis
 table (from a rule, or a slice of a shared element_tables result), one
@@ -99,21 +99,17 @@ class BandedSymMatrix:
         self.ab = np.asarray(ab, dtype=float)
         self.bandwidth = self.ab.shape[0] - 1
         self.n = self.ab.shape[1]
-        self._dense = None
         self._windows = None
 
     def to_dense(self):
-        """The n-by-n matrix, built once and read-only."""
-        if self._dense is None:
-            u, n, table = self.bandwidth, self.n, self.diagonals()
-            a = np.zeros((n, n))
-            flat = a.reshape(-1)  # a view; entry (i, j) sits at i * n + j
-            for d in range(min(u, n - 1) + 1):  # (i, i + d) and (i + d, i)
-                v = table[u + 1 + d, : n - d]
-                flat[d :: n + 1][: n - d] = flat[d * n :: n + 1][: n - d] = v
-            a.setflags(write=False)
-            self._dense = a
-        return self._dense
+        """The n-by-n matrix, built afresh on each call; nothing keeps it."""
+        u, n, table = self.bandwidth, self.n, self.diagonals()
+        a = np.zeros((n, n))
+        flat = a.reshape(-1)  # a view; entry (i, j) sits at i * n + j
+        for d in range(min(u, n - 1) + 1):  # (i, i + d) and (i + d, i)
+            v = table[u + 1 + d, : n - d]
+            flat[d :: n + 1][: n - d] = flat[d * n :: n + 1][: n - d] = v
+        return a
 
     def diagonals(self):
         """(2u + 3)-by-n table whose row u + 1 + d holds entry (i, i + d) at
@@ -157,28 +153,32 @@ class BandedSymMatrix:
 
         stack = entries(i0[:, None, None] + np.arange(r)[:, None], cols[:, None, :])
         trail = entries(np.arange(t0, n)[:, None], np.arange(c0, n))
-        return cols[:, :, None], stack, c0, trail
+        return cols, stack, c0, trail
 
     def matvec(self, x):
-        """K x for a vector x: one BLAS product per stacked window of the band.
+        """K x for a vector x or an (n, m) block x of columns: one BLAS
+        product per stacked window of the band.
 
         The windows are zero-padded so that every output gets the same
         nonzero products, in the same accumulator lanes and order, as in
         ``to_dense() @ x``; the zeros multiplied add exactly 0.  One gather
-        takes x into every window's columns, one ``np.matmul`` runs the
-        stack through the kernel that ``np.dot`` uses, and one ``np.dot``
-        applies the trailing window, which ends at n.  With OpenBLAS the
-        result is bit-identical to the dense product on one thread for
-        n <= 2048 (tested), and it does not depend on the thread count.
-        Above 2048 the dense product sums each row in column chunks, and
-        the two differ by rounding only (at most 4e-16 of (|K| |x|) in the
-        tests).  No n-by-n array is built: the windows take about
-        n (ROW_BLOCK + 2u) entries and their padding, 0.26 MB at n=1004
-        and p=6, made on the first call.  At n <= WHOLE_MAX the one window
-        is the whole matrix.  A non-finite entry of x makes non-finite
-        every row of each window whose columns hold it, as 0 * NaN is NaN:
-        at n=1004 and p=6 about 32 rows around it rather than the 13
-        coupled to it, and all n rows at n <= WHOLE_MAX.
+        takes x into every window's columns, (windows, width, m) with m = 1
+        for a vector, one ``np.matmul`` runs the stack through the kernel
+        that ``np.dot`` uses, and one ``np.dot`` applies the trailing
+        window, which ends at n.  With OpenBLAS a vector's result is
+        bit-identical to the dense product on one thread for n <= 2048
+        (tested), and it does not depend on the thread count; nor does a
+        block's above WHOLE_MAX, which is within 2 eps of (|K| |x|) of the
+        dense product (tested).  Above 2048 a vector's dense product sums
+        each row in column chunks, and the two differ by rounding only (at
+        most 4e-16 of (|K| |x|) in the tests).  No n-by-n array is built:
+        the windows take about n (ROW_BLOCK + 2u) entries and their
+        padding, 0.26 MB at n=1004 and p=6, made on the first call.  At
+        n <= WHOLE_MAX the one window is the whole matrix.  A non-finite
+        entry of x makes non-finite every row of each window whose columns
+        hold it, as 0 * NaN is NaN: at n=1004 and p=6 about 32 rows around
+        it rather than the 13 coupled to it, and all n rows at
+        n <= WHOLE_MAX.
         """
         if self._windows is None:
             self._windows = self._stack()
@@ -186,9 +186,10 @@ class BandedSymMatrix:
         if not len(stack):  # the whole matrix: the dense product itself
             return trail @ x
         k = stack.shape[0] * ROW_BLOCK
-        y = np.empty(self.n)
-        np.dot(trail, x[c0:], out=y[k:])  # first, so a vector of the wrong length fails here
-        np.matmul(stack, x[cols], out=y[:k].reshape(-1, ROW_BLOCK, 1))
+        y = np.empty(x.shape)
+        np.dot(trail, x[c0:], out=y[k:])  # first, so an x of the wrong length fails here
+        gathered = x[cols].reshape(*cols.shape, -1)
+        np.matmul(stack, gathered, out=y[:k].reshape(len(stack), ROW_BLOCK, -1))
         return y
 
     def widened(self, u):
@@ -197,25 +198,19 @@ class BandedSymMatrix:
         ab[u - self.bandwidth :] = self.ab
         return BandedSymMatrix(ab)
 
-    def add_scaled(self, other, coeff):
-        """self + coeff * other, aligned on the larger bandwidth."""
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        u = max(self.bandwidth, other.bandwidth)
-        ab = self.widened(u).ab
-        ab[u - other.bandwidth :] += coeff * other.ab
-        return BandedSymMatrix(ab)
-
     def factor(self):
         """Banded Cholesky handle; solve() accepts one vector or a matrix of columns.
 
-        The matrix is checked for finite entries once, here (ValueError); a
-        matrix that is not positive definite raises NumericalFailure.  Each
-        solve is one LAPACK dpbtrs call on the stored factor with no per-call
-        scan, so a non-finite right-hand side comes back as a non-finite
-        solution.
+        The stored band, not the unused corner of ab, which dpbtrf does not
+        read either, is checked for finite entries once, here (ValueError);
+        a matrix that is not positive definite raises NumericalFailure.
+        Each solve is one LAPACK dpbtrs call on the stored factor with no
+        per-call scan, so a non-finite right-hand side comes back as a
+        non-finite solution.
         """
-        cb, info = dpbtrf(np.asarray_chkfinite(self.ab))  # upper, the default
+        if not np.isfinite(self.diagonals()).all():
+            raise ValueError("band must not contain infs or NaNs")
+        cb, info = dpbtrf(self.ab)  # upper, the default
         if info > 0:
             raise NumericalFailure(f"banded Cholesky failed: leading minor of order {info} "
                                    "is not positive definite")
@@ -355,10 +350,11 @@ def penalized_forms(M, K, kv, eta_a=1.0, eta_b=1.0):
     returned unchanged; the weights are checked either way.
     """
     eta_a, eta_b = _weight("eta_a", eta_a), _weight("eta_b", eta_b)
-    h = kv.h
-    Mt, Kt = M, K
-    for ell in range(1, alpha_of(kv.p) + 1):
+    if alpha_of(kv.p) == 0:
+        return M, K
+    h, Mt, Kt = kv.h, M.widened(M.bandwidth), K.widened(K.bandwidth)  # one copy each
+    for ell in range(1, alpha_of(kv.p) + 1):  # every level added in place, in order
         P = assemble_penalty(kv, ell)
-        Mt = Mt.add_scaled(P, eta_b * h ** (4 * ell + 1))
-        Kt = Kt.add_scaled(P, eta_a * (np.pi**2 * h ** (4 * ell - 1)))
+        Mt.ab += eta_b * h ** (4 * ell + 1) * P.ab
+        Kt.ab += eta_a * (np.pi**2 * h ** (4 * ell - 1)) * P.ab
     return Mt, Kt

@@ -3,7 +3,9 @@
 Everything here is deterministic by construction: table cells run on
 forked worker processes, largest first, but are collected in sorted
 order, seeds are fixed, and CSV output formats floats with full precision
-so repeated runs produce identical bytes.
+so repeated runs produce identical bytes, save one case: a 2D or 3D run
+with an axis of 97 to 128 unknowns may round differently on more than one
+BLAS thread, as that axis's apply is one dense matrix product.
 """
 
 import functools

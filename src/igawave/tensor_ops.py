@@ -4,10 +4,10 @@ A d-dimensional operator is a sum of Kronecker products of 1D banded
 matrices and is never materialized: matrix-vector products sweep one axis
 at a time on the reshaped coefficient tensor, and the mass solve factors
 into one banded Cholesky solve per axis because the mass stays a single
-Kronecker product.  An operator binds its dense axis factors and each
-axis's transpose when it is built, so an apply or a solve is only the
-per-axis matrix products or banded solves, with C order restored once at
-the end.
+Kronecker product.  An operator binds each axis factor's banded apply
+(BandedSymMatrix.matvec on a block of columns) and each axis's transpose
+when it is built, so an apply or a solve is only the per-axis band
+products or banded solves, with C order restored once at the end.
 
 C-order flattening everywhere: coefficient (i, j[, k]) lives at flat index
 (i * ny + j) * nz + k.
@@ -60,7 +60,7 @@ class KroneckerOperator:
         self.dims = dims
         self.total_dim = int(np.prod(dims))
         self._layouts = _axis_layouts(dims)
-        self._applies = tuple(tuple(f.to_dense().__matmul__ for f in t) for t in terms)  # f @ Z
+        self._applies = tuple(tuple(f.matvec for f in t) for t in terms)  # f @ Z
 
     def matvec(self, x):
         x = np.asarray(x, dtype=float)

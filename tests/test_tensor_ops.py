@@ -1,9 +1,22 @@
 """Kronecker operators against dense np.kron oracles on small grids."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from igawave.assembly_1d import assemble_mass, assemble_stiffness, kappa_variant
+import igawave
+from igawave.assembly_1d import (
+    WHOLE_MAX,
+    BandedSymMatrix,
+    assemble_mass,
+    assemble_stiffness,
+    kappa_variant,
+)
+from igawave.cli import main
 from igawave.quadrature import gauss_legendre
 from igawave.spline_basis import open_uniform_knots
 from igawave.tensor_ops import KroneckerOperator, build_tensor_operators, kron_mass_factor
@@ -138,14 +151,65 @@ def moveaxis_solve(mass, b):
     return X.reshape(-1)
 
 
+def absolute(op):
+    """The operator with every factor entry replaced by its absolute value."""
+    return KroneckerOperator([[BandedSymMatrix(np.abs(f.ab)) for f in t] for t in op.terms])
+
+
 @pytest.mark.parametrize("d, N", [(2, 4), (2, 9), (3, 3), (2, 16), (2, 33), (2, 64), (2, 130),
                                   (3, 6), (3, 20)])
 @pytest.mark.parametrize("p", range(1, 8))
 def test_apply_and_solve_match_the_tensordot_route_exactly(p, N, d):
+    """Up to WHOLE_MAX unknowns per axis an axis apply is the dense product
+    itself.  Above it the band windows sum differently from one dense
+    matrix product, whose own sums move with the BLAS thread count; there
+    the apply is held within 2 eps of ((|A| (x) |B|) |x|)."""
     Mx, Kx = axis_pair(p, N)
     My, Ky = axis_pair(p, N + 1)
     mass, stiff = build_tensor_operators([(Mx, Kx), (My, Ky), (Mx, Kx)][:d])
     x = np.random.default_rng(p).standard_normal(mass.total_dim)
-    np.testing.assert_array_equal(mass.matvec(x), tensordot_apply(mass, x))
-    np.testing.assert_array_equal(stiff.matvec(x), tensordot_apply(stiff, x))
+    for op in (mass, stiff):
+        got, want = op.matvec(x), tensordot_apply(op, x)
+        if max(op.dims) <= WHOLE_MAX:
+            np.testing.assert_array_equal(got, want)
+        else:
+            scale = tensordot_apply(absolute(op), np.abs(x))
+            assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * scale)
     np.testing.assert_array_equal(kron_mass_factor(mass)(x), moveaxis_solve(mass, x))
+
+
+@pytest.mark.parametrize("argv", [["solve", "--dim", "2"], ["convergence", "--dim", "2"]],
+                         ids=["solve", "convergence"])
+def test_two_dimensional_runs_build_no_dense_view(argv, tmp_path, monkeypatch):
+    """The Kronecker operators apply their factors on the band; a dense
+    view raises here, in this process and in the forked cell workers."""
+
+    def refuse(self):
+        raise AssertionError("BandedSymMatrix.to_dense called")
+
+    monkeypatch.setattr(BandedSymMatrix, "to_dense", refuse)
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+
+
+# Axes of 134 unknowns, above WHOLE_MAX, where a dense matrix
+# product splits its work across BLAS threads.
+THREAD_RUNS = (
+    ["solve", "--dim", "2", "--elements", "130", "--steps", "200", "--final-time", "0.1",
+     "--stride", "50"],
+    ["convergence", "--dim", "2", "--degrees", "5", "--elements", "8,130", "--steps", "400",
+     "--final-time", "0.1"],
+)
+
+
+@pytest.mark.parametrize("argv", THREAD_RUNS, ids=["solve", "convergence"])
+def test_two_dimensional_output_does_not_depend_on_the_blas_thread_count(argv, tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(igawave.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}.csv"
+        subprocess.run([sys.executable, "-m", "igawave.cli", *argv, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
