@@ -207,7 +207,7 @@ def kron_p5_n64():
 
 @pytest.fixture(scope="module")
 def kron_p5_n130():
-    """Axes of 134 unknowns, above WHOLE_MAX: each axis runs on band windows."""
+    """Axes of 133 unknowns, above WHOLE_MAX: each axis runs on band windows."""
     return kron_2d(5, 130)
 
 

@@ -185,11 +185,11 @@ class BandedSymMatrix:
         cols, stack, c0, trail = self._windows
         if not len(stack):  # the whole matrix: the dense product itself
             return trail @ x
-        k = stack.shape[0] * ROW_BLOCK
+        b, width = cols.shape
+        k = b * ROW_BLOCK
         y = np.empty(x.shape)
         np.dot(trail, x[c0:], out=y[k:])  # first, so an x of the wrong length fails here
-        gathered = x[cols].reshape(*cols.shape, -1)
-        np.matmul(stack, gathered, out=y[:k].reshape(len(stack), ROW_BLOCK, -1))
+        np.matmul(stack, x[cols].reshape(b, width, -1), out=y[:k].reshape(b, ROW_BLOCK, -1))
         return y
 
     def widened(self, u):
@@ -208,7 +208,8 @@ class BandedSymMatrix:
         per-call scan, so a non-finite right-hand side comes back as a
         non-finite solution.
         """
-        if not np.isfinite(self.diagonals()).all():
+        u = self.bandwidth
+        if not all(np.isfinite(self.ab[u - d, d:]).all() for d in range(u + 1)):
             raise ValueError("band must not contain infs or NaNs")
         cb, info = dpbtrf(self.ab)  # upper, the default
         if info > 0:

@@ -191,7 +191,7 @@ def test_two_dimensional_runs_build_no_dense_view(argv, tmp_path, monkeypatch):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
 
 
-# Axes of 134 unknowns, above WHOLE_MAX, where a dense matrix
+# Axes of 133 unknowns, above WHOLE_MAX, where a dense matrix
 # product splits its work across BLAS threads.
 THREAD_RUNS = (
     ["solve", "--dim", "2", "--elements", "130", "--steps", "200", "--final-time", "0.1",
