@@ -27,7 +27,7 @@ from igawave.integrator import critical_omega, initial_state, integrate, params_
 from igawave.mms_errors import l2_error, l2_error_2d, manufactured_case
 from igawave.quadrature import gauss_legendre, map_to_element
 from igawave.spline_basis import eval_basis_many, open_uniform_knots
-from igawave.tensor_ops import build_tensor_operators, kron_mass_factor
+from igawave.tensor_ops import acceleration_map, build_tensor_operators, kron_mass_factor
 
 
 def test_eval_basis_many_6000_gauss_points(benchmark):
@@ -153,15 +153,20 @@ STEPS = 1000
 
 
 def test_integrate_1000_steps_p5_n40(benchmark):
-    """1000 steps of the default solve problem size; per step is median / 1000."""
+    """1000 steps of the default solve problem size under a constant load f,
+    each one call of accel(t, u) = M^-1 (f - K u); per step is median / 1000."""
     d = build_1d(5, 40)
     solve, apply_K = d.Mt.factor(), d.Kt.matvec
     rng = np.random.default_rng(0)
     f = rng.standard_normal(d.Mt.n)
+
+    def accel(t, u):
+        return solve(f - apply_K(u))
+
     params = params_from_rho(1.0)
     tau = 0.5 * critical_omega(params) / np.sqrt(top_eigenvalue(d.Kt, d.Mt))
-    s0 = initial_state(solve, apply_K, f, rng.standard_normal(d.Mt.n), np.zeros(d.Mt.n))
-    res = benchmark(integrate, s0, solve, apply_K, lambda t: f, tau, STEPS, params)
+    s0 = initial_state(accel, rng.standard_normal(d.Mt.n), np.zeros(d.Mt.n))
+    res = benchmark(integrate, s0, accel, tau, STEPS, params)
     assert not res.blew_up and res.steps_completed == STEPS
 
 
@@ -194,10 +199,13 @@ def test_free_run_timestep_1d(benchmark):
 
 
 def kron_2d(p, N):
+    """The penalized 2D operators, a random vector x and the acceleration
+    map of the load e^t x, which replaces an apply plus a solve in a step."""
     d = build_1d(p, N)
     mass, stiff = build_tensor_operators([(d.Mt, d.Kt)] * 2)
     stiff.matvec(np.zeros(stiff.total_dim))  # one apply outside the timing
-    return mass, stiff, np.random.default_rng(0).standard_normal(mass.total_dim)
+    x = np.random.default_rng(0).standard_normal(mass.total_dim)
+    return mass, stiff, x, acceleration_map([(d.Mt, d.Kt)] * 2, x)
 
 
 @pytest.fixture(scope="module")
@@ -218,28 +226,36 @@ def kron_p3_n4():
 
 
 def test_kron_stiffness_apply_2d_n64(benchmark, kron_p5_n64):
-    _, stiff, x = kron_p5_n64
+    _, stiff, x, _ = kron_p5_n64
     assert benchmark(stiff.matvec, x).shape == x.shape
 
 
 def test_kron_stiffness_apply_2d_n130(benchmark, kron_p5_n130):
-    _, stiff, x = kron_p5_n130
+    _, stiff, x, _ = kron_p5_n130
     assert benchmark(stiff.matvec, x).shape == x.shape
 
 
 def test_kron_mass_solve_2d_n64(benchmark, kron_p5_n64):
-    mass, _, x = kron_p5_n64
+    mass, _, x, _ = kron_p5_n64
     assert benchmark(kron_mass_factor(mass), x).shape == x.shape
 
 
 def test_kron_stiffness_apply_2d_n4(benchmark, kron_p3_n4):
-    _, stiff, x = kron_p3_n4
+    _, stiff, x, _ = kron_p3_n4
     assert benchmark(stiff.matvec, x).shape == x.shape
 
 
 def test_kron_mass_solve_2d_n4(benchmark, kron_p3_n4):
-    mass, _, x = kron_p3_n4
+    mass, _, x, _ = kron_p3_n4
     assert benchmark(kron_mass_factor(mass), x).shape == x.shape
+
+
+@pytest.mark.parametrize("grid", ["kron_p3_n4", "kron_p5_n64", "kron_p5_n130"])
+def test_acceleration_map_2d(benchmark, request, grid):
+    """One step's M^-1 (e^t f - K u), two axis applies and two axis solves,
+    next to the Kronecker stiffness apply and mass solve it replaces."""
+    *_, x, accel = request.getfixturevalue(grid)
+    assert benchmark(accel, 0.5, x).shape == x.shape
 
 
 def test_l2_error_p5_n40(benchmark):

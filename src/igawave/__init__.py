@@ -68,6 +68,6 @@ from .spline_basis import (
     greville_points,
     open_uniform_knots,
 )
-from .tensor_ops import KroneckerOperator, build_tensor_operators, kron_mass_factor
+from .tensor_ops import KroneckerOperator, acceleration_map, build_tensor_operators, kron_mass_factor
 
 __version__ = "0.1.0"

@@ -43,7 +43,8 @@ from .mms_errors import (
 )
 from .quadrature import MAX_POINTS, rule_for_degree
 from .spline_basis import open_uniform_knots
-from .tensor_ops import build_tensor_operators, kron_mass_factor
+# Unused here, but bench/test_tracer.py calls build_tensor_operators and kron_mass_factor here.
+from .tensor_ops import acceleration_map, build_tensor_operators, kron_mass_factor
 
 __all__ = [
     "NumericalFailure",
@@ -321,25 +322,20 @@ def _add_rates(rows, x, key, name):
 def _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init):
     """The manufactured problem on a p, N mesh in one or two dimensions.
 
-    Returns (solve_M, apply_K, load, state0, l2, h1): load(t) is the load
-    vector at time t, and l2(u, t) and h1(u, t) are the errors of the
-    coefficients u against the exact solution at time t.  Every axis has
-    the same mesh, so loads and start states are outer products of one 1D
-    vector.  dim picks only the operator pair (in 1D the banded pair: a
-    one-axis Kronecker pair gives the same bits at two to three times the
-    cost a call) and the error-norm function, looked up at each call so
-    that a rebinding of the module's name takes effect.
+    Returns (accel, state0, l2, h1): accel(t, u) is the acceleration
+    M^-1 (e^t f - K u) of the load e^t f, computed axis by axis by
+    tensor_ops.acceleration_map in every dimension, and l2(u, t) and
+    h1(u, t) are the errors of the coefficients u against the exact
+    solution at time t.  Every axis has the same mesh, so loads and start
+    states are outer products of one 1D vector.  dim picks the error-norm
+    function, looked up at each call so that a rebinding of the module's
+    name takes effect.
     """
     d = build_1d(p, N, kappa, eta_a, eta_b)
     kv = d.kv
     table = element_tables(kv, rule_for_degree(p, smooth_coefficient=False), 1)  # loads, u0, norms
     case = manufactured_case(kappa, dim)
-    M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
-    if dim == 1:
-        solve, apply_K = M.factor(), K.matvec
-    else:
-        mass, stiff = build_tensor_operators([(M, K)] * dim)
-        solve, apply_K = kron_mass_factor(mass), stiff.matvec
+    pair = (d.Mt, d.Kt) if penalized else (d.M, d.K)
 
     def outer(v):
         return functools.reduce(np.multiply.outer, [v] * dim).ravel()
@@ -347,9 +343,6 @@ def _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init):
     f_load = case.f_const * outer(assemble_load(kv, table, case.load))
     u0 = outer(initial_coefficients(kv, table, case.start, init))
     kvs, tables = [kv] * dim, [table] * dim
-
-    def load(t):
-        return f_load * np.exp(t)
 
     def l2(u, t):
         norm = l2_error if dim == 1 else l2_error_2d
@@ -360,13 +353,14 @@ def _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init):
         grads = [lambda *xs, a=a: case.grad(a, *xs, t) for a in range(dim)]
         return norm(*kvs, u, *grads, tables)
 
-    state0 = initial_state(solve, apply_K, load(0.0), u0, u0.copy())  # u_t(x, 0) = u(x, 0)
-    return solve, apply_K, load, state0, l2, h1
+    accel = acceleration_map([pair] * dim, f_load)
+    state0 = initial_state(accel, u0, u0.copy())  # u_t(x, 0) = u(x, 0)
+    return accel, state0, l2, h1
 
 
 def _mms_run(dim, p, N, kappa, rho, T, n_steps, penalized, eta_a, eta_b, init):
-    solve, apply_K, load, state0, l2, h1 = _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init)
-    res = integrate(state0, solve, apply_K, load, T / n_steps, n_steps, params_from_rho(rho))
+    accel, state0, l2, h1 = _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init)
+    res = integrate(state0, accel, T / n_steps, n_steps, params_from_rho(rho))
     if res.blew_up:
         raise BlowupDetected(f"{dim}D run p={p} N={N} blew up at step {res.steps_completed}")
     return l2(res.final.u, T), h1(res.final.u, T)
@@ -468,16 +462,14 @@ def solve_mms(
         stride = max(1, n_steps // 200)
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride!r}")
-    solve, apply_K, load, state0, l2, _ = _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init)
+    accel, state0, l2, _ = _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init)
     rows = [{"step": 0, "t": 0.0, "l2_error": l2(state0.u, state0.t)}]
 
     def observe(i, state):
         if i % stride == 0 or i == n_steps:
             rows.append({"step": i, "t": state.t, "l2_error": l2(state.u, state.t)})
 
-    res = integrate(
-        state0, solve, apply_K, load, T / n_steps, n_steps, params_from_rho(rho), callback=observe
-    )
+    res = integrate(state0, accel, T / n_steps, n_steps, params_from_rho(rho), callback=observe)
     if res.blew_up:
         rows.append(
             {"step": res.steps_completed, "t": res.final.t, "l2_error": float("nan")}
@@ -506,14 +498,13 @@ def free_run(p, N, rho, tau_factor, n_steps, seed=7):
     d = build_1d(p, N)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
     tau = tau_factor * critical_omega(params) / np.sqrt(lam_t)
-    solve = d.Mt.factor()
-    n = d.kv.interior_dim
-    u0 = start_data((n,), seed)
-    zero = np.zeros(n)
-    state0 = initial_state(solve, d.Kt.matvec, zero, u0, zero.copy())
-    res = integrate(
-        state0, solve, d.Kt.matvec, lambda t: zero, tau, n_steps, params
-    )
+    solve, apply_K = d.Mt.factor(), d.Kt.matvec
+
+    def accel(t, u):  # unforced: M^-1 (0 - K u)
+        return solve(-apply_K(u))
+
+    u0 = start_data((d.kv.interior_dim,), seed)
+    res = integrate(initial_state(accel, u0, np.zeros_like(u0)), accel, tau, n_steps, params)
     return res, tau
 
 

@@ -1,14 +1,14 @@
 """Explicit generalized-alpha time stepping and its stability analysis.
 
 Cost model: one mass solve per step is the whole cost of the scheme.  A
-step of `integrate` is one load evaluation, one stiffness apply, one banded
-(or per-axis) mass solve and a fixed handful of in-place vector updates on
-buffers allocated once per run, plus a max-abs scan for blow-up; nothing
-else grows with the number of steps.  On small meshes the fixed cost of a
-dozen numpy calls outweighs the solve and the apply; at n = 1003 the
-stiffness apply, one stacked BLAS product over 16-row windows of the band,
-costs about 0.7 banded solves (15 against 22 us, minima), where a dense
-apply cost 14.
+step of `integrate` is one call of the map accel(t, u) = M^-1 (f(t) - K u),
+d axis applies and d axis solves on a d-dimensional tensor mesh
+(tensor_ops.acceleration_map), and a fixed handful of in-place vector
+updates on buffers allocated once per run, plus a max-abs scan for
+blow-up; nothing else grows with the number of steps.  On small meshes the
+fixed cost of a dozen numpy calls outweighs the solve and the apply; at
+n = 1003 the stiffness apply, one stacked BLAS product over 16-row windows
+of the band, costs about 0.7 banded solves (15 against 22 us, minima).
 `benchmarks/test_layers.py` times both sizes.  `step` is the allocating
 single-step reference that `integrate` reproduces bit for bit.
 
@@ -91,22 +91,16 @@ def params_from_rho(rho):
     return AlphaParams(rho=rho, alpha_m=alpha_m, gamma=gamma, beta=beta)
 
 
-def initial_state(solve_M, apply_K, f0, u0, v0):
-    """Consistent start: solve M a0 = f0 - K u0 and stamp t = 0."""
-    u0 = np.asarray(u0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    a0 = solve_M(f0 - apply_K(u0))
-    return DynamicState(t=0.0, u=u0, v=v0, a=a0)
+def initial_state(accel, u0, v0):
+    """Consistent start: a0 = accel(0, u0), that is M a0 = f(0) - K u0, at t = 0."""
+    u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+    return DynamicState(t=0.0, u=u0, v=v0, a=accel(0.0, u0))
 
 
-def step(state, solve_M, apply_K, load, tau, params):
-    """Advance one step of size tau; exactly one mass solve.
-
-    `load` maps a time to the assembled force vector at that time; the
-    explicit scheme reads it at the step's start.
-    """
+def step(state, accel, tau, params):
+    """Advance one step of size tau: one call of accel(t, u) = M^-1 (f(t) - K u), at its start."""
     am, g, b = params.alpha_m, params.gamma, params.beta
-    a_mid = solve_M(load(state.t) - apply_K(state.u))
+    a_mid = accel(state.t, state.u)
     da = (a_mid - state.a) / am
     u1 = state.u + tau * state.v + 0.5 * tau**2 * state.a + tau**2 * b * da
     v1 = state.v + tau * state.a + tau * g * da
@@ -114,7 +108,7 @@ def step(state, solve_M, apply_K, load, tau, params):
     return DynamicState(t=state.t + tau, u=u1, v=v1, a=a1)
 
 
-def integrate(state0, solve_M, apply_K, load, tau, n_steps, params, callback=None):
+def integrate(state0, accel, tau, n_steps, params, callback=None):
     """March n_steps of size tau with blow-up monitoring.
 
     The run stops early once ||u||_inf exceeds 1e6 * ||u0||_inf + 1e6 or a
@@ -139,7 +133,6 @@ def integrate(state0, solve_M, apply_K, load, tau, n_steps, params, callback=Non
     # them: u gets (tau^2/2) a and (tau^2 b) da, v gets tau a and (tau g) da.
     coef_a = np.array([[0.5 * tau**2], [tau]])
     coef_da = np.array([[tau**2 * b], [tau * g]])
-    rhs = np.empty_like(u)
     da = np.empty_like(a)
     work = np.empty_like(u)
     work2 = np.empty_like(uv)
@@ -147,8 +140,7 @@ def integrate(state0, solve_M, apply_K, load, tau, n_steps, params, callback=Non
     peak = float(np.abs(u).max())
     threshold = BLOWUP_FACTOR * peak + BLOWUP_FACTOR
     for i in range(1, n_steps + 1):
-        np.subtract(load(t), apply_K(u), rhs)
-        np.subtract(solve_M(rhs), a, da)
+        np.subtract(accel(t, u), a, da)
         da /= am
         # Left to right, as in step: u + tau v + (tau^2/2) a + (tau^2 b) da
         # and v + tau a + (tau g) da, each v term read before v changes.

@@ -15,7 +15,7 @@ C-order flattening everywhere: coefficient (i, j[, k]) lives at flat index
 
 import numpy as np
 
-__all__ = ["KroneckerOperator", "build_tensor_operators", "kron_mass_factor"]
+__all__ = ["KroneckerOperator", "acceleration_map", "build_tensor_operators", "kron_mass_factor"]
 
 
 def _axis_layouts(dims):
@@ -127,3 +127,39 @@ def kron_mass_factor(mass):
         return X.transpose(back).reshape(-1)
 
     return solve
+
+
+def _along(fn, dims, a):
+    """fn, a map on (n_a, m) blocks, as a map on flat vectors along axis a of shape dims;
+    fn itself with one axis.  Each block is copied to C order, since the bits of a
+    whole-matrix band apply depend on the layout of its operand."""
+    if len(dims) == 1:
+        return fn
+    perm = (a, *range(a), *range(a + 1, len(dims)))
+    moved, back = tuple(dims[i] for i in perm), tuple(np.argsort(perm))
+    return lambda x: fn(np.ascontiguousarray(x.reshape(dims).transpose(perm)).reshape(
+        dims[a], -1)).reshape(moved).transpose(back).reshape(-1)
+
+
+def acceleration_map(axis_pairs, f0):
+    """accel(t, u) = M^-1 (e^t f0 - K u) for the Kronecker pair of axis_pairs, axis by axis:
+
+    (M_1^-1 on axis 1)[e^t w - (K_1 on axis 1) u] - sum_{a>=2} (M_a^-1 K_a on axis a) u with
+    w = (M_a^-1 on every axis a >= 2) f0 computed once: d axis applies and d axis solves a
+    call.  One axis gives solve(f0 * exp(t) - K.matvec(u)) on vectors, operation for operation.
+    """
+    dims = tuple(M.n for M, _ in axis_pairs)
+    (solve, apply), *others = [(M.factor(), K.matvec) for M, K in axis_pairs]
+    w = f0
+    for a, (s, _) in enumerate(others, 1):
+        w = _along(s, dims, a)(w)
+    solve, apply = _along(solve, dims, 0), _along(apply, dims, 0)
+    rest = [_along(lambda Z, s=s, k=k: s(k(Z)), dims, a) for a, (s, k) in enumerate(others, 1)]
+
+    def accel(t, u):
+        acc = solve(w * np.exp(t) - apply(u))
+        for term in rest:
+            acc -= term(u)
+        return acc
+
+    return accel

@@ -18,18 +18,17 @@ from igawave.integrator import (
     spectral_radius,
     step,
 )
-from igawave.tensor_ops import build_tensor_operators, kron_mass_factor
-
-EYE1 = np.array([[1.0]])
-
-
-def scalar_ops(omega):
-    K = np.array([[omega**2]])
-    return (lambda b: b), (lambda u: K @ u)
+from igawave.tensor_ops import acceleration_map
 
 
 def zero_load(t):
     return np.zeros(1)
+
+
+def scalar_accel(omega, load=zero_load):
+    """The acceleration map of u'' + omega^2 u = f(t): M = 1, K = omega^2."""
+    K = np.array([[omega**2]])
+    return lambda t, u: load(t) - K @ u
 
 
 def test_parameter_family_endpoints():
@@ -57,11 +56,10 @@ def test_scalar_step_matches_amplification_matrix():
         obar = rng.uniform(0.01, 3.9)
         tau = obar / omega
         params = params_from_rho(rho)
-        solve_M, apply_K = scalar_ops(omega)
         u, v = rng.standard_normal(2)
         a = rng.standard_normal()  # arbitrary acceleration, not consistent
-        s0 = initial_state(solve_M, apply_K, np.array([a + omega**2 * u]), [u], [v])
-        s1 = step(s0, solve_M, apply_K, zero_load, tau, params)
+        s0 = DynamicState(t=0.0, u=np.array([u]), v=np.array([v]), a=np.array([a]))
+        s1 = step(s0, scalar_accel(omega), tau, params)
         G = amplification_matrix(obar, params)
         z0 = np.array([u, tau * v, tau**2 * a])
         z1 = G @ z0
@@ -72,32 +70,27 @@ def test_scalar_step_matches_amplification_matrix():
 def test_step_is_linear():
     rng = np.random.default_rng(5)
     params = params_from_rho(0.5)
-    solve_M, apply_K = scalar_ops(2.0)
+    accel = scalar_accel(2.0)
     tau = 0.3
-    s = [
-        initial_state(solve_M, apply_K, np.zeros(1), rng.standard_normal(1), rng.standard_normal(1))
-        for _ in range(2)
-    ]
-    both = initial_state(
-        solve_M, apply_K, np.zeros(1), s[0].u + 2 * s[1].u, s[0].v + 2 * s[1].v
-    )
-    a, b, c = (step(x, solve_M, apply_K, zero_load, tau, params) for x in (s[0], s[1], both))
+    s = [initial_state(accel, rng.standard_normal(1), rng.standard_normal(1)) for _ in range(2)]
+    both = initial_state(accel, s[0].u + 2 * s[1].u, s[0].v + 2 * s[1].v)
+    a, b, c = (step(x, accel, tau, params) for x in (s[0], s[1], both))
     np.testing.assert_allclose(c.u, a.u + 2 * b.u, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(c.v, a.v + 2 * b.v, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(c.a, a.a + 2 * b.a, rtol=1e-12, atol=1e-12)
 
 
 def test_rest_stays_at_rest():
-    solve_M, apply_K = scalar_ops(3.0)
-    s0 = initial_state(solve_M, apply_K, np.zeros(1), np.zeros(1), np.zeros(1))
-    res = integrate(s0, solve_M, apply_K, zero_load, 0.1, 50, params_from_rho(1.0))
+    accel = scalar_accel(3.0)
+    s0 = initial_state(accel, np.zeros(1), np.zeros(1))
+    res = integrate(s0, accel, 0.1, 50, params_from_rho(1.0))
     assert not res.blew_up
     assert res.max_abs_u == 0.0
 
 
 def test_consistent_initial_acceleration():
-    solve_M, apply_K = scalar_ops(2.0)
-    s0 = initial_state(solve_M, apply_K, np.array([4.0 * 1.5]), np.array([1.5]), np.zeros(1))
+    accel = scalar_accel(2.0, lambda t: np.array([4.0 * 1.5]))
+    s0 = initial_state(accel, np.array([1.5]), np.zeros(1))
     np.testing.assert_allclose(s0.a, np.zeros(1), atol=1e-14)
     assert s0.t == 0.0
 
@@ -110,9 +103,10 @@ def test_explicit_scheme_reads_load_at_current_time():
         seen.append(t)
         return np.zeros(1)
 
-    solve_M, apply_K = scalar_ops(1.0)
-    s0 = initial_state(solve_M, apply_K, np.zeros(1), np.ones(1), np.zeros(1))
-    step(s0, solve_M, apply_K, load, 0.25, params_from_rho(0.5))
+    accel = scalar_accel(1.0, load)
+    s0 = initial_state(accel, np.ones(1), np.zeros(1))
+    seen.clear()
+    step(s0, accel, 0.25, params_from_rho(0.5))
     assert seen == [0.0]
 
 
@@ -172,10 +166,10 @@ def test_critical_omega_monotone_in_rho():
 
 def test_blow_up_above_critical():
     omega = 1.0
-    solve_M, apply_K = scalar_ops(omega)
-    s0 = initial_state(solve_M, apply_K, np.zeros(1), np.ones(1), np.zeros(1))
+    accel = scalar_accel(omega)
+    s0 = initial_state(accel, np.ones(1), np.zeros(1))
     tau = 2.5  # above C_rho for every rho in [0, 1]
-    res = integrate(s0, solve_M, apply_K, zero_load, tau, 5000, params_from_rho(1.0))
+    res = integrate(s0, accel, tau, 5000, params_from_rho(1.0))
     assert res.blew_up
     assert res.steps_completed < 5000
     assert res.max_abs_u > 1e6
@@ -183,57 +177,52 @@ def test_blow_up_above_critical():
 
 def test_stable_below_critical():
     omega = 1.0
-    solve_M, apply_K = scalar_ops(omega)
-    s0 = initial_state(solve_M, apply_K, np.zeros(1), np.ones(1), np.zeros(1))
-    res = integrate(s0, solve_M, apply_K, zero_load, 1.9, 5000, params_from_rho(1.0))
+    accel = scalar_accel(omega)
+    s0 = initial_state(accel, np.ones(1), np.zeros(1))
+    res = integrate(s0, accel, 1.9, 5000, params_from_rho(1.0))
     assert not res.blew_up
     assert res.max_abs_u < 10.0
 
 
 def test_callback_sees_every_step():
-    solve_M, apply_K = scalar_ops(1.0)
-    s0 = initial_state(solve_M, apply_K, np.zeros(1), np.ones(1), np.zeros(1))
+    accel = scalar_accel(1.0)
+    s0 = initial_state(accel, np.ones(1), np.zeros(1))
     steps = []
-    integrate(
-        s0, solve_M, apply_K, zero_load, 0.1, 7, params_from_rho(0.5),
-        callback=lambda i, st: steps.append((i, st.t)),
-    )
+    integrate(s0, accel, 0.1, 7, params_from_rho(0.5),
+              callback=lambda i, st: steps.append((i, st.t)))
     assert [i for i, _ in steps] == [1, 2, 3, 4, 5, 6, 7]
     assert steps[-1][1] == pytest.approx(0.7)
 
 
 def test_integrate_validation():
-    solve_M, apply_K = scalar_ops(1.0)
-    s0 = initial_state(solve_M, apply_K, np.zeros(1), np.ones(1), np.zeros(1))
+    accel = scalar_accel(1.0)
+    s0 = initial_state(accel, np.ones(1), np.zeros(1))
     with pytest.raises(ValueError):
-        integrate(s0, solve_M, apply_K, zero_load, 0.1, 0, params_from_rho(0.5))
+        integrate(s0, accel, 0.1, 0, params_from_rho(0.5))
     with pytest.raises(ValueError):
         amplification_matrix(-0.1, params_from_rho(0.5))
 
 
 @pytest.mark.parametrize("tau", [0.0, -0.1, float("nan"), float("inf")])
 def test_integrate_rejects_a_step_that_is_not_finite_and_positive(tau):
-    solve_M, apply_K = scalar_ops(1.0)
-    s0 = initial_state(solve_M, apply_K, np.zeros(1), np.ones(1), np.zeros(1))
+    accel = scalar_accel(1.0)
+    s0 = initial_state(accel, np.ones(1), np.zeros(1))
     with pytest.raises(ValueError, match="^tau must be finite and positive"):
-        integrate(s0, solve_M, apply_K, zero_load, tau, 5, params_from_rho(0.5))
+        integrate(s0, accel, tau, 5, params_from_rho(0.5))
 
 
 def banded_problem(p, dim, penalized, N=5):
-    """Mass solve, stiffness apply, a time-dependent load and a random start
-    on real spline operators, 1D or 2D, with a step at half the critical one."""
+    """The acceleration map of real spline operators, 1D or 2D, with the
+    load e^t f of a random f, a random start and a step at half the
+    critical one; also the mass solve, stiffness apply and f of axis 1."""
     d = build_1d(p, N)
     M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
-    if dim == 1:
-        solve_M, apply_K = M.factor(), K.matvec
-    else:
-        mass, stiff = build_tensor_operators([(M, K)] * dim)
-        solve_M, apply_K = kron_mass_factor(mass), stiff.matvec
     n = M.n**dim
     rng = np.random.default_rng(p + 10 * dim)
     f = rng.standard_normal(n)
     tau = 0.5 * critical_omega(params_from_rho(1.0)) / np.sqrt(dim * top_eigenvalue(K, M))
-    return solve_M, apply_K, (lambda t: np.cos(3.0 * t) * f), rng.standard_normal((2, n)), tau
+    accel = acceleration_map([(M, K)] * dim, f)
+    return accel, rng.standard_normal((2, n)), tau, (M.factor(), K.matvec, f)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -242,15 +231,14 @@ def banded_problem(p, dim, penalized, N=5):
 @pytest.mark.parametrize("p", range(1, 8))
 def test_integrate_equals_repeated_step(p, penalized, rho, dim):
     """The in-place loop reproduces repeated step calls bit for bit."""
-    solve_M, apply_K, load, (u0, v0), tau = banded_problem(p, dim, penalized)
+    accel, (u0, v0), tau, _ = banded_problem(p, dim, penalized)
     params = params_from_rho(rho)
-    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+    s0 = initial_state(accel, u0, v0)
     seen = []
-    res = integrate(s0, solve_M, apply_K, load, tau, 12, params,
-                    callback=lambda i, st: seen.append(st))
+    res = integrate(s0, accel, tau, 12, params, callback=lambda i, st: seen.append(st))
     ref = s0
     for st in seen:
-        ref = step(ref, solve_M, apply_K, load, tau, params)
+        ref = step(ref, accel, tau, params)
         assert st.t == ref.t
         for name in ("u", "v", "a"):
             np.testing.assert_array_equal(getattr(st, name), getattr(ref, name))
@@ -260,10 +248,10 @@ def test_integrate_equals_repeated_step(p, penalized, rho, dim):
 
 
 def test_integrate_leaves_initial_state_alone():
-    solve_M, apply_K, load, (u0, v0), tau = banded_problem(4, 1, True)
-    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+    accel, (u0, v0), tau, _ = banded_problem(4, 1, True)
+    s0 = initial_state(accel, u0, v0)
     before = [x.copy() for x in (s0.u, s0.v, s0.a)]
-    res = integrate(s0, solve_M, apply_K, load, tau, 20, params_from_rho(0.5))
+    res = integrate(s0, accel, tau, 20, params_from_rho(0.5))
     for x, y in zip((s0.u, s0.v, s0.a), before):
         np.testing.assert_array_equal(x, y)
     assert s0.t == 0.0
@@ -271,15 +259,15 @@ def test_integrate_leaves_initial_state_alone():
 
 
 def test_callback_states_are_independent_snapshots():
-    solve_M, apply_K, load, (u0, v0), tau = banded_problem(3, 2, True)
-    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+    accel, (u0, v0), tau, _ = banded_problem(3, 2, True)
+    s0 = initial_state(accel, u0, v0)
     kept, copies = [], []
 
     def keep(i, st):
         kept.append(st)
         copies.append((st.u.copy(), st.v.copy(), st.a.copy()))
 
-    integrate(s0, solve_M, apply_K, load, tau, 6, params_from_rho(1.0), callback=keep)
+    integrate(s0, accel, tau, 6, params_from_rho(1.0), callback=keep)
     for st, (u, v, a) in zip(kept, copies):
         for x, y in zip((st.u, st.v, st.a), (u, v, a)):
             np.testing.assert_array_equal(x, y)
@@ -288,13 +276,14 @@ def test_callback_states_are_independent_snapshots():
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_nan_load_ends_run_as_blow_up(dim):
-    solve_M, apply_K, load, (u0, v0), tau = banded_problem(3, dim, True)
-    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+    """A NaN load from t > 2.5 tau on: the mass solve makes the acceleration NaN."""
+    accel, (u0, v0), tau, _ = banded_problem(3, dim, True)
+    s0 = initial_state(accel, u0, v0)
 
-    def nan_later(t):
-        return load(t) * (np.nan if t > 2.5 * tau else 1.0)
+    def nan_later(t, u):
+        return accel(t, u) * (np.nan if t > 2.5 * tau else 1.0)
 
-    res = integrate(s0, solve_M, apply_K, nan_later, tau, 50, params_from_rho(1.0))
+    res = integrate(s0, nan_later, tau, 50, params_from_rho(1.0))
     assert res.blew_up
     assert res.steps_completed == 4
     assert np.isnan(res.max_abs_u)
@@ -303,8 +292,8 @@ def test_nan_load_ends_run_as_blow_up(dim):
 def test_a_nan_that_reaches_part_of_the_stiffness_apply_ends_run_as_blow_up():
     """At n=1004 a NaN entry of u reaches only a few rows of K u (see
     BandedSymMatrix.matvec); the mass solve spreads it and the run stops."""
-    solve_M, apply_K, load, (u0, v0), tau = banded_problem(6, 1, True, N=1000)
-    s0 = initial_state(solve_M, apply_K, load(0.0), u0, v0)
+    clean, (u0, v0), tau, (solve_M, apply_K, f) = banded_problem(6, 1, True, N=1000)
+    s0 = initial_state(clean, u0, v0)
     calls = []
 
     def poisoned(u):
@@ -316,17 +305,20 @@ def test_a_nan_that_reaches_part_of_the_stiffness_apply_ends_run_as_blow_up():
         assert np.isnan(y).any() == (len(calls) == 3) and not np.isnan(y).all()
         return y
 
-    res = integrate(s0, solve_M, poisoned, load, tau, 10, params_from_rho(1.0))
+    def accel(t, u):  # acceleration_map's 1D formula, with the poisoned apply
+        return solve_M(f * np.exp(t) - poisoned(u))
+
+    res = integrate(s0, accel, tau, 10, params_from_rho(1.0))
     assert res.blew_up
     assert res.steps_completed == 3
     assert np.isnan(res.max_abs_u)
 
 
 def test_non_finite_initial_state_rejected():
-    solve_M, apply_K = scalar_ops(1.0)
+    accel = scalar_accel(1.0)
     for bad in ("u", "v", "a"):
         fields = {"u": np.ones(1), "v": np.zeros(1), "a": np.zeros(1)}
         fields[bad] = np.array([np.inf if bad == "a" else np.nan])
         s0 = DynamicState(t=0.0, **fields)
         with pytest.raises(ValueError, match="initial state must be finite"):
-            integrate(s0, solve_M, apply_K, zero_load, 0.1, 3, params_from_rho(1.0))
+            integrate(s0, accel, 0.1, 3, params_from_rho(1.0))

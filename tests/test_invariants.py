@@ -12,6 +12,7 @@ from scipy.linalg.lapack import dpbtrf
 from igawave.eigen import full_spectrum, top_eigenvalue
 from igawave.experiments import build_1d
 from igawave.integrator import critical_omega, initial_state, integrate, params_from_rho
+from igawave.tensor_ops import acceleration_map, build_tensor_operators
 
 degrees = st.integers(1, 7)
 meshes = st.integers(2, 40)
@@ -53,29 +54,35 @@ def test_penalty_leaves_the_low_third_of_the_modes(p, N, eta):
 # first half's.  The plain energy 1/2 (v'Mv + u'Ku) beats between modes, so
 # half-run maxima differ even with no growth at all; over 20 random starts
 # and 4000 or 6000 steps they differed by at most 0.014% on the penalized
-# pairs and 0.31% on the unpenalized one, whose modes beat more slowly.
-@pytest.mark.parametrize("p, N, penalized, growth", [
-    (5, 40, True, 1.001),
-    (3, 20, True, 1.001),
-    (5, 40, False, 1.01),
+# pairs and 0.31% on the unpenalized one, whose modes beat more slowly.  The
+# 2D case steps the tensor pair through acceleration_map at
+# 0.9 C_rho / sqrt(2 lambda_1D); over 20 starts its second half peaked at
+# most 0.9992 times its first.
+@pytest.mark.parametrize("p, N, penalized, growth, dim", [
+    pytest.param(5, 40, True, 1.001, 1, id="5-40-True-1.001"),
+    pytest.param(3, 20, True, 1.001, 1, id="3-20-True-1.001"),
+    pytest.param(5, 40, False, 1.01, 1, id="5-40-False-1.01"),
+    pytest.param(5, 8, True, 1.001, 2, id="2d-5-8-True-1.001"),
 ])
-def test_energy_stays_bounded_below_the_critical_step(p, N, penalized, growth):
+def test_energy_stays_bounded_below_the_critical_step(p, N, penalized, growth, dim):
     d = build_1d(p, N)
     M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
     params = params_from_rho(1.0)
-    tau = 0.9 * critical_omega(params) / np.sqrt(top_eigenvalue(K, M))
-    Md, Kd = M.to_dense(), K.to_dense()
-    solve = M.factor()
-    u0 = np.random.default_rng(0).standard_normal(M.n)
-    zero = np.zeros(M.n)
+    tau = 0.9 * critical_omega(params) / np.sqrt(dim * top_eigenvalue(K, M))
+    if dim == 1:
+        Md, Kd = M.to_dense(), K.to_dense()
+    else:
+        Md, Kd = (op.to_dense() for op in build_tensor_operators([(M, K)] * dim))
+    u0 = np.random.default_rng(0).standard_normal(len(Md))
+    zero = np.zeros(len(Md))
+    accel = acceleration_map([(M, K)] * dim, zero)  # unforced: M^-1 (0 e^t - K u)
     energies = []
 
     def record(i, state):
         energies.append(0.5 * (state.v @ Md @ state.v + state.u @ Kd @ state.u))
 
-    state0 = initial_state(solve, K.matvec, zero, u0, zero.copy())
     n_steps = 4000
-    res = integrate(state0, solve, K.matvec, lambda t: zero, tau, n_steps, params,
+    res = integrate(initial_state(accel, u0, zero.copy()), accel, tau, n_steps, params,
                     callback=record)
     assert not res.blew_up
     e = np.array(energies) / (0.5 * u0 @ Kd @ u0)

@@ -1,5 +1,6 @@
 """Kronecker operators against dense np.kron oracles on small grids."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -12,14 +13,23 @@ import igawave
 from igawave.assembly_1d import (
     WHOLE_MAX,
     BandedSymMatrix,
+    assemble_load,
     assemble_mass,
     assemble_stiffness,
+    element_tables,
     kappa_variant,
 )
 from igawave.cli import main
-from igawave.quadrature import gauss_legendre
+from igawave.experiments import build_1d
+from igawave.mms_errors import initial_coefficients, manufactured_case
+from igawave.quadrature import gauss_legendre, rule_for_degree
 from igawave.spline_basis import open_uniform_knots
-from igawave.tensor_ops import KroneckerOperator, build_tensor_operators, kron_mass_factor
+from igawave.tensor_ops import (
+    KroneckerOperator,
+    acceleration_map,
+    build_tensor_operators,
+    kron_mass_factor,
+)
 
 ONE = kappa_variant("one")
 
@@ -176,6 +186,65 @@ def test_apply_and_solve_match_the_tensordot_route_exactly(p, N, d):
             scale = tensordot_apply(absolute(op), np.abs(x))
             assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * scale)
     np.testing.assert_array_equal(kron_mass_factor(mass)(x), moveaxis_solve(mass, x))
+
+
+@pytest.mark.parametrize("N", [40, 130, 1000])
+@pytest.mark.parametrize("penalized", [False, True])
+def test_acceleration_map_is_the_banded_formula_bit_for_bit_in_one_dimension(penalized, N):
+    """One axis: solve(e^t f - K u) on the vectors themselves, at n <= WHOLE_MAX
+    (one dense product) and above it (band windows)."""
+    d = build_1d(5, N)
+    M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
+    f, u = np.random.default_rng(N).standard_normal((2, M.n))
+    accel = acceleration_map([(M, K)], f)
+    for t in (0.0, 0.37):
+        np.testing.assert_array_equal(accel(t, u), M.factor()(np.exp(t) * f - K.matvec(u)))
+
+
+def manufactured_data(p, N, dim, penalized):
+    """The axis pairs, load and start coefficients of the manufactured run."""
+    d = build_1d(p, N)
+    table = element_tables(d.kv, rule_for_degree(p, smooth_coefficient=False), 1)
+    case = manufactured_case("one", dim)
+
+    def outer(v):
+        return functools.reduce(np.multiply.outer, [v] * dim).ravel()
+
+    pair = (d.Mt, d.Kt) if penalized else (d.M, d.K)
+    f = case.f_const * outer(assemble_load(d.kv, table, case.load))
+    return [pair] * dim, f, outer(initial_coefficients(d.kv, table, case.start))
+
+
+# Largest max-norm difference, relative to the largest entry, measured over
+# N in {4, 16, 40, 130} (2D) or {3, 8, 12} (3D), t in {0, 0.7}: 2D 2.0e-8
+# (p=7, N=130), 3D 7.6e-7 (p=7, N=12).  Penalized pairs run at p <= 4, where
+# the largest is 4.4e-9.  From p=5 up the Kronecker route itself loses the
+# digits: with M~ ill-conditioned, its solve of e^t f - K u amplifies the
+# cancellation by cond(M~) on every axis.  Against a 50-digit reference at
+# p=7 (penalized), the map was off by 1.6e-5 (2D, N=16) and 5.9e-6 (3D,
+# N=8), the Kronecker route by 1.0e-3 and 1.1e3.
+MAP_BOUND = {2: 1e-7, 3: 2e-6}
+
+
+@pytest.mark.parametrize("dim, N", [(2, 4), (2, 16), (2, 40), (2, 130), (3, 3), (3, 8), (3, 12)])
+@pytest.mark.parametrize("p, penalized", [(p, False) for p in range(1, 8)]
+                         + [(p, True) for p in range(1, 5)])
+def test_acceleration_map_matches_the_kronecker_route(p, penalized, dim, N):
+    pairs, f, u = manufactured_data(p, N, dim, penalized)
+    mass, stiff = build_tensor_operators(pairs)
+    accel = acceleration_map(pairs, f)
+    for t in (0.0, 0.7):
+        want = kron_mass_factor(mass)(np.exp(t) * f - stiff.matvec(u))
+        got = accel(t, u)
+        assert np.abs(got - want).max() <= MAP_BOUND[dim] * np.abs(want).max()
+
+
+def test_acceleration_map_leaves_its_input_alone():
+    pairs, f, u = manufactured_data(3, 4, 3, True)
+    before = (f.copy(), u.copy())
+    acceleration_map(pairs, f)(0.5, u)
+    np.testing.assert_array_equal(f, before[0])
+    np.testing.assert_array_equal(u, before[1])
 
 
 @pytest.mark.parametrize("argv", [["solve", "--dim", "2"], ["convergence", "--dim", "2"]],
