@@ -200,7 +200,8 @@ def test_free_run_timestep_1d(benchmark):
 
 def kron_2d(p, N):
     """The penalized 2D operators, a random vector x and the acceleration
-    map of the load e^t x, which replaces an apply plus a solve in a step."""
+    map m(s, u) = M^-1 (s x - K u), which replaces an apply plus a solve in
+    a step."""
     d = build_1d(p, N)
     mass, stiff = build_tensor_operators([(d.Mt, d.Kt)] * 2)
     stiff.matvec(np.zeros(stiff.total_dim))  # one apply outside the timing
@@ -252,10 +253,10 @@ def test_kron_mass_solve_2d_n4(benchmark, kron_p3_n4):
 
 @pytest.mark.parametrize("grid", ["kron_p3_n4", "kron_p5_n64", "kron_p5_n130"])
 def test_acceleration_map_2d(benchmark, request, grid):
-    """One step's M^-1 (e^t f - K u), two axis applies and two axis solves,
+    """One step's M^-1 (e^t x - K u), two axis applies and two axis solves,
     next to the Kronecker stiffness apply and mass solve it replaces."""
-    *_, x, accel = request.getfixturevalue(grid)
-    assert benchmark(accel, 0.5, x).shape == x.shape
+    *_, x, m = request.getfixturevalue(grid)
+    assert benchmark(lambda: m(np.exp(0.5), x)).shape == x.shape
 
 
 def test_l2_error_p5_n40(benchmark):

@@ -353,9 +353,9 @@ def _setup(dim, p, N, kappa, penalized, eta_a, eta_b, init):
         grads = [lambda *xs, a=a: case.grad(a, *xs, t) for a in range(dim)]
         return norm(*kvs, u, *grads, tables)
 
-    accel = acceleration_map([pair] * dim, f_load)
-    state0 = initial_state(accel, u0, u0.copy())  # u_t(x, 0) = u(x, 0)
-    return accel, state0, l2, h1
+    m = acceleration_map([pair] * dim, f_load)
+    accel = lambda t, u: m(np.exp(t), u)  # the load e^t f
+    return accel, initial_state(accel, u0, u0.copy()), l2, h1  # u_t(x, 0) = u(x, 0)
 
 
 def _mms_run(dim, p, N, kappa, rho, T, n_steps, penalized, eta_a, eta_b, init):
@@ -498,11 +498,8 @@ def free_run(p, N, rho, tau_factor, n_steps, seed=7):
     d = build_1d(p, N)
     lam_t = top_eigenvalue(d.Kt, d.Mt)
     tau = tau_factor * critical_omega(params) / np.sqrt(lam_t)
-    solve, apply_K = d.Mt.factor(), d.Kt.matvec
-
-    def accel(t, u):  # unforced: M^-1 (0 - K u)
-        return solve(-apply_K(u))
-
+    unforced = acceleration_map([(d.Mt, d.Kt)], np.zeros(d.kv.interior_dim))
+    accel = lambda t, u: unforced(0.0, u)  # M^-1 (0 - K u)
     u0 = start_data((d.kv.interior_dim,), seed)
     res = integrate(initial_state(accel, u0, np.zeros_like(u0)), accel, tau, n_steps, params)
     return res, tau

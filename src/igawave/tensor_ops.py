@@ -18,6 +18,11 @@ import numpy as np
 __all__ = ["KroneckerOperator", "acceleration_map", "build_tensor_operators", "kron_mass_factor"]
 
 
+def _axis_order(a, d):
+    """Axis a first, the other of d axes in their order: the layout a map along axis a sees."""
+    return (a, *range(a), *range(a + 1, d))
+
+
 def _axis_layouts(dims):
     """Per axis, the transpose into its layout and that layout's shape; then the one back.
 
@@ -29,7 +34,7 @@ def _axis_layouts(dims):
     """
     steps, held = [], tuple(range(len(dims)))  # held[i]: the axis stored at position i
     for a in range(len(dims)):
-        order = (a, *range(a), *range(a + 1, len(dims)))
+        order = _axis_order(a, len(dims))
         steps.append((tuple(held.index(i) for i in order), tuple(dims[i] for i in order)))
         held = order
     return steps, tuple(held.index(i) for i in range(len(dims)))
@@ -135,19 +140,18 @@ def _along(fn, dims, a):
     whole-matrix band apply depend on the layout of its operand."""
     if len(dims) == 1:
         return fn
-    perm = (a, *range(a), *range(a + 1, len(dims)))
+    perm = _axis_order(a, len(dims))
     moved, back = tuple(dims[i] for i in perm), tuple(np.argsort(perm))
     return lambda x: fn(np.ascontiguousarray(x.reshape(dims).transpose(perm)).reshape(
         dims[a], -1)).reshape(moved).transpose(back).reshape(-1)
 
 
 def acceleration_map(axis_pairs, f0):
-    """accel(t, u) = M^-1 (e^t f0 - K u) for the Kronecker pair of axis_pairs, axis by axis:
-
-    (M_1^-1 on axis 1)[e^t w - (K_1 on axis 1) u] - sum_{a>=2} (M_a^-1 K_a on axis a) u with
+    """m(s, u) = M^-1 (s f0 - K u) for the Kronecker pair of axis_pairs; a step's accel(t, u)
+    is m(s(t), u) for the load's time profile s, which the caller owns.  Axis by axis, m is
+    (M_1^-1 on axis 1)[s w - (K_1 on axis 1) u] - sum_{a>=2} (M_a^-1 K_a on axis a) u with
     w = (M_a^-1 on every axis a >= 2) f0 computed once: d axis applies and d axis solves a
-    call.  One axis gives solve(f0 * exp(t) - K.matvec(u)) on vectors, operation for operation.
-    """
+    call.  One axis gives solve(f0 * s - K.matvec(u)) on vectors, operation for operation."""
     dims = tuple(M.n for M, _ in axis_pairs)
     (solve, apply), *others = [(M.factor(), K.matvec) for M, K in axis_pairs]
     w = f0
@@ -156,10 +160,10 @@ def acceleration_map(axis_pairs, f0):
     solve, apply = _along(solve, dims, 0), _along(apply, dims, 0)
     rest = [_along(lambda Z, s=s, k=k: s(k(Z)), dims, a) for a, (s, k) in enumerate(others, 1)]
 
-    def accel(t, u):
-        acc = solve(w * np.exp(t) - apply(u))
+    def m(s, u):
+        acc = solve(w * s - apply(u))
         for term in rest:
             acc -= term(u)
         return acc
 
-    return accel
+    return m

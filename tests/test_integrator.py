@@ -212,17 +212,19 @@ def test_integrate_rejects_a_step_that_is_not_finite_and_positive(tau):
 
 
 def banded_problem(p, dim, penalized, N=5):
-    """The acceleration map of real spline operators, 1D or 2D, with the
-    load e^t f of a random f, a random start and a step at half the
-    critical one; also the mass solve, stiffness apply and f of axis 1."""
+    """The acceleration accel(t, u) = m(cos 3t, u) of real spline operators,
+    1D or 2D, where m(s, u) = M^-1 (s f - K u) is the acceleration map of a
+    random f; a random start and a step at half the critical one; also m and
+    the mass solve, stiffness apply and f of axis 1."""
     d = build_1d(p, N)
     M, K = (d.Mt, d.Kt) if penalized else (d.M, d.K)
     n = M.n**dim
     rng = np.random.default_rng(p + 10 * dim)
     f = rng.standard_normal(n)
     tau = 0.5 * critical_omega(params_from_rho(1.0)) / np.sqrt(dim * top_eigenvalue(K, M))
-    accel = acceleration_map([(M, K)] * dim, f)
-    return accel, rng.standard_normal((2, n)), tau, (M.factor(), K.matvec, f)
+    m = acceleration_map([(M, K)] * dim, f)
+    accel = lambda t, u: m(np.cos(3.0 * t), u)
+    return accel, rng.standard_normal((2, n)), tau, (m, M.factor(), K.matvec, f)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -277,11 +279,11 @@ def test_callback_states_are_independent_snapshots():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_nan_load_ends_run_as_blow_up(dim):
     """A NaN load from t > 2.5 tau on: the mass solve makes the acceleration NaN."""
-    accel, (u0, v0), tau, _ = banded_problem(3, dim, True)
+    accel, (u0, v0), tau, (m, *_) = banded_problem(3, dim, True)
     s0 = initial_state(accel, u0, v0)
 
     def nan_later(t, u):
-        return accel(t, u) * (np.nan if t > 2.5 * tau else 1.0)
+        return m(np.nan if t > 2.5 * tau else np.cos(3.0 * t), u)
 
     res = integrate(s0, nan_later, tau, 50, params_from_rho(1.0))
     assert res.blew_up
@@ -292,7 +294,7 @@ def test_nan_load_ends_run_as_blow_up(dim):
 def test_a_nan_that_reaches_part_of_the_stiffness_apply_ends_run_as_blow_up():
     """At n=1004 a NaN entry of u reaches only a few rows of K u (see
     BandedSymMatrix.matvec); the mass solve spreads it and the run stops."""
-    clean, (u0, v0), tau, (solve_M, apply_K, f) = banded_problem(6, 1, True, N=1000)
+    clean, (u0, v0), tau, (_, solve_M, apply_K, f) = banded_problem(6, 1, True, N=1000)
     s0 = initial_state(clean, u0, v0)
     calls = []
 
@@ -306,7 +308,7 @@ def test_a_nan_that_reaches_part_of_the_stiffness_apply_ends_run_as_blow_up():
         return y
 
     def accel(t, u):  # acceleration_map's 1D formula, with the poisoned apply
-        return solve_M(f * np.exp(t) - poisoned(u))
+        return solve_M(f * np.cos(3.0 * t) - poisoned(u))
 
     res = integrate(s0, accel, tau, 10, params_from_rho(1.0))
     assert res.blew_up

@@ -75,7 +75,8 @@ def test_energy_stays_bounded_below_the_critical_step(p, N, penalized, growth, d
         Md, Kd = (op.to_dense() for op in build_tensor_operators([(M, K)] * dim))
     u0 = np.random.default_rng(0).standard_normal(len(Md))
     zero = np.zeros(len(Md))
-    accel = acceleration_map([(M, K)] * dim, zero)  # unforced: M^-1 (0 e^t - K u)
+    unforced = acceleration_map([(M, K)] * dim, zero)
+    accel = lambda t, u: unforced(0.0, u)  # M^-1 (0 - K u)
     energies = []
 
     def record(i, state):
